@@ -46,6 +46,9 @@ class StaleColoringMac final : public sim::MacProtocol {
     return inner_.wants_transmit(v, t);
   }
   sim::RadioState idle_state(std::size_t v) const override { return inner_.idle_state(v); }
+  bool fill_slot_sets(util::SlotSet& receivers, util::SlotSet& transmitters) const override {
+    return inner_.fill_slot_sets(receivers, transmitters);
+  }
   bool on_topology_change(const net::Graph&) override { return false; }  // stays stale
 
  private:

@@ -1,9 +1,10 @@
-// Slot-rate regression harness for the word-parallel simulator hot path
-// (DESIGN.md §8): measures scalar-vs-batched slots/sec for
+// Slot-rate regression harness for the simulator hot path (DESIGN.md §8):
+// measures slots/sec of the node-at-a-time reference simulator
+// (tests/reference) against sim::Simulator for
 // n in {50, 100, 200, 400, 800, 1600, 3200} under DutyCycledScheduleMac
 // with tracing off, and gates on a >= 3x speedup at n = 400. The 1600 and
 // 3200 rows ride along informationally (slots_per_sec metrics only, no
-// gated *_speedup — the scalar pipeline is far outside its design envelope
+// gated *_speedup — the reference is far outside any sensible envelope
 // there and the ratio is too noisy to gate; the metropolitan sizes proper
 // are bench_megascale's job). Emits BENCH_sim_hotpath.json (consumed by
 // scripts/run_benches.sh --perf-check for regression tracking against the
@@ -20,6 +21,7 @@
 #include "core/construct.hpp"
 #include "net/topology.hpp"
 #include "obs/report.hpp"
+#include "reference_simulator.hpp"
 #include "sim/mac.hpp"
 #include "sim/simulator.hpp"
 #include "util/timer.hpp"
@@ -36,12 +38,11 @@ constexpr double kGateSpeedup = 3.0;
 // Timed slots scale down with n so every row costs comparable wall time.
 std::uint64_t timed_slots(std::size_t n) { return 4'000'000 / n; }
 
-double slot_rate_once(const net::Graph& g, const core::Schedule& duty, bool force_scalar) {
+template <typename Sim>
+double slot_rate_once(const net::Graph& g, const core::Schedule& duty) {
   sim::DutyCycledScheduleMac mac(duty);
   sim::BernoulliTraffic traffic(g.num_nodes(), 0.01);
-  sim::SimConfig config{.seed = 7};
-  config.force_scalar_pipeline = force_scalar;
-  sim::Simulator sim(g, mac, traffic, config);
+  Sim sim(g, mac, traffic, {.seed = 7});
   sim.run(kWarmup);
   const std::uint64_t timed = timed_slots(g.num_nodes());
   util::Timer timer;
@@ -62,36 +63,36 @@ int main() {
 
   bool gate_ok = false;
   double gate_speedup = 0.0;
-  std::cout << "simulator hot path: scalar vs batched pipeline (slots/sec)\n"
-            << "    n     scalar/s    batched/s  speedup\n";
+  std::cout << "simulator hot path: reference simulator vs pipeline (slots/sec)\n"
+            << "    n  reference/s   pipeline/s  speedup\n";
   for (std::size_t n : {50, 100, 200, 400, 800, 1600, 3200}) {
     util::Xoshiro256 rng(3);
     const net::Graph g = net::random_bounded_degree_graph(n, 4, 2 * n, rng);
     const core::Schedule duty = core::construct_duty_cycled(
         core::non_sleeping_from_family(comb::build_plan(comb::best_plan(n, 4), n)), 4, 4,
         n / 3);
-    // Back-to-back scalar/batched pairs scored by the median per-pair
+    // Back-to-back reference/pipeline pairs scored by the median per-pair
     // ratio: pairing cancels clock drift, the median discards load spikes
     // (same methodology as the ring-sink budget in bench_scalability).
-    std::vector<double> ratios, scalar_rates, batched_rates;
-    slot_rate_once(g, duty, false);  // shared warmup rep, untimed
+    std::vector<double> ratios, reference_rates, pipeline_rates;
+    slot_rate_once<sim::Simulator>(g, duty);  // shared warmup rep, untimed
     for (int rep = 0; rep < kPairs; ++rep) {
-      const double s = slot_rate_once(g, duty, true);
-      const double b = slot_rate_once(g, duty, false);
-      scalar_rates.push_back(s);
-      batched_rates.push_back(b);
-      ratios.push_back(b / s);
+      const double r = slot_rate_once<sim::ReferenceSimulator>(g, duty);
+      const double p = slot_rate_once<sim::Simulator>(g, duty);
+      reference_rates.push_back(r);
+      pipeline_rates.push_back(p);
+      ratios.push_back(p / r);
     }
     std::nth_element(ratios.begin(), ratios.begin() + kPairs / 2, ratios.end());
     const double speedup = ratios[kPairs / 2];
-    const double scalar = *std::max_element(scalar_rates.begin(), scalar_rates.end());
-    const double batched = *std::max_element(batched_rates.begin(), batched_rates.end());
-    std::cout << "  " << n << "  " << scalar << "  " << batched << "  " << speedup
+    const double reference = *std::max_element(reference_rates.begin(), reference_rates.end());
+    const double pipeline = *std::max_element(pipeline_rates.begin(), pipeline_rates.end());
+    std::cout << "  " << n << "  " << reference << "  " << pipeline << "  " << speedup
               << "x\n";
     std::string key = "n";
     key += std::to_string(n);
-    report.metric(key + "_scalar_slots_per_sec", scalar);
-    report.metric(key + "_batched_slots_per_sec", batched);
+    report.metric(key + "_reference_slots_per_sec", reference);
+    report.metric(key + "_pipeline_slots_per_sec", pipeline);
     // The extended ladder rows (n > 800) are informational only: no
     // *_speedup key, so --perf-check never gates them.
     if (n <= 800) report.metric(key + "_speedup", speedup);
@@ -100,7 +101,7 @@ int main() {
       gate_ok = speedup >= kGateSpeedup;
     }
   }
-  std::cout << "\nbatched speedup @ n=" << kGateN << ": " << gate_speedup
+  std::cout << "\npipeline speedup @ n=" << kGateN << ": " << gate_speedup
             << "x (gate >= " << kGateSpeedup << "x): " << (gate_ok ? "CONFIRMED" : "FAILED")
             << "\n";
   report.metric("ok", gate_ok ? 1 : 0);

@@ -88,10 +88,4 @@ bool DomainGrid::audit_edges(const Graph& g) const {
   return true;
 }
 
-std::size_t DomainGrid::max_occupancy() const {
-  std::size_t best = 0;
-  for (const auto& cell : cells_) best = std::max(best, cell.size());
-  return best;
-}
-
 }  // namespace ttdc::net

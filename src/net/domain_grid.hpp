@@ -1,8 +1,8 @@
 // Spatial collision domains over unit-square node positions.
 //
 // A DomainGrid buckets nodes into square cells of side >= the transmission
-// radius. That choice gives the invariant the sharded phase-2 kernel and
-// the grid-accelerated unit-disk builder both lean on (DESIGN.md §13):
+// radius. That choice gives the invariant the grid-accelerated unit-disk
+// builder leans on (DESIGN.md §13):
 //
 //   any two nodes within `radius` of each other — hence any interfering
 //   pair in a unit-disk topology — lie in the same cell or in cells that
@@ -72,9 +72,6 @@ class DomainGrid {
   /// adjacent (distance <= 1) — the 3x3-neighborhood invariant. A graph
   /// built by unit_disk_graph over the same positions/radius always passes.
   [[nodiscard]] bool audit_edges(const Graph& g) const;
-
-  /// Largest cell population (diagnostic; drives shard balance).
-  [[nodiscard]] std::size_t max_occupancy() const;
 
  private:
   [[nodiscard]] std::uint32_t bucket(double x, double y) const;

@@ -78,8 +78,8 @@ class MobilityModel {
   [[nodiscard]] const Positions& positions() const { return pos_; }
 
   /// The incrementally-maintained collision-domain grid over positions().
-  /// Valid for the topology returned by the latest step(); hand it to
-  /// SimConfig::domains to shard the collision kernel spatially.
+  /// Valid for the topology returned by the latest step(), which was built
+  /// through it.
   [[nodiscard]] const DomainGrid& grid() const { return grid_; }
 
  private:

@@ -23,12 +23,10 @@
 // campaign's numbers can be compared across machines and worker counts, and
 // bench_campaign's --perf-check gate enforces exactly that equality.
 //
-// Cells may themselves run sharded simulators (SimConfig::shard_workers,
-// DESIGN.md §13): the sharded phase-2 kernel follows the same
-// precompute-parallel / fold-serial discipline as the campaign barrier, so
-// it is bit-identical at any worker count — and inside a campaign worker it
-// degrades to serial automatically (util::in_parallel_region), so nesting
-// a sharded cell under a parallel campaign is safe, just not faster.
+// Parallelism lives at the cell level only: each cell runs one serial
+// Simulator, whatever its size (each simulator picks its slot-set
+// representation on its own, DESIGN.md §8), so a cell's result never
+// depends on the worker count.
 #pragma once
 
 #include <cstddef>

@@ -26,7 +26,7 @@
 // built from the same triple are identical, and the simulator consuming a
 // plan never touches its own RNG stream on behalf of a fault — so a run
 // with an armed-but-empty plan is bit-identical to an unarmed run (tested),
-// and scalar/batched pipeline golden equality holds with faults on.
+// and reference-simulator golden equality holds with faults on.
 //
 // The Simulator consumes the plan via SimConfig::fault_plan, emits every
 // injected fault through the flight recorder (FlightEvent::kFault* kinds)

@@ -8,22 +8,6 @@
 
 namespace ttdc::sim {
 
-// ------------------------------------------------------------ base fallback
-
-bool MacProtocol::fill_slot_sets(util::SlotSet& receivers,
-                                 util::SlotSet& transmitters) const {
-  // Scalar fallback for MACs that only implement the per-node interface:
-  // the receiver set is derivable from can_receive(), the transmitter set
-  // is not (wants_transmit() is target-dependent), so the simulator keeps
-  // querying wants_transmit()/idle_state() node-by-node.
-  receivers.reset_all();
-  for (std::size_t v = 0; v < receivers.size(); ++v) {
-    if (can_receive(v)) receivers.set(v);
-  }
-  (void)transmitters;
-  return false;
-}
-
 // ---------------------------------------------------------------- schedule
 
 DutyCycledScheduleMac::DutyCycledScheduleMac(const core::Schedule& schedule,
@@ -67,11 +51,8 @@ RadioState DutyCycledScheduleMac::idle_state(std::size_t node) const {
 bool DutyCycledScheduleMac::fill_slot_sets(util::SlotSet& receivers,
                                            util::SlotSet& transmitters) const {
   TTDC_PROF_SCOPE("mac.fill_slot_sets.duty_cycled");
-  if (schedule_.num_nodes() != receivers.size()) {
-    // Schedule built over a different universe than the simulated graph:
-    // keep the scalar path, which indexes per node and stays in bounds.
-    return MacProtocol::fill_slot_sets(receivers, transmitters);
-  }
+  TTDC_ASSERT(schedule_.num_nodes() == receivers.size(), "DutyCycledScheduleMac: schedule has ",
+              schedule_.num_nodes(), " nodes but the simulated graph has ", receivers.size());
   receivers.copy_from(slot_receivers_[frame_slot_]);
   transmitters.copy_from(slot_transmitters_[frame_slot_]);
   return true;

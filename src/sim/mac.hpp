@@ -47,13 +47,12 @@ class MacProtocol {
   /// receiver this slot.
   [[nodiscard]] virtual RadioState idle_state(std::size_t node) const = 0;
 
-  /// Batched slot-set interface (the simulator's word-parallel hot path).
+  /// Slot-set interface (the simulator's only per-slot query).
   ///
   /// Populates, for the current slot, `receivers` with every node for which
   /// can_receive() holds and `transmitters` with every node that would
   /// transmit if backlogged (the target-independent part of
-  /// wants_transmit()). Returns true when both sets were produced, in which
-  /// case the simulator promises to honor this contract:
+  /// wants_transmit()). The simulator relies on this contract:
   ///
   ///   * a backlogged node v transmits iff transmitters.test(v) and, when
   ///     sender_gates_on_receiver(), its next hop is in `receivers`;
@@ -61,18 +60,17 @@ class MacProtocol {
   ///     (its idle_state() must be RadioState::kSleep) — all five in-tree
   ///     MACs satisfy this by construction.
   ///
-  /// The default implementation is the scalar fallback for out-of-tree
-  /// MACs: it fills `receivers` from can_receive() and returns false, which
-  /// makes the simulator fall back to per-node wants_transmit()/idle_state()
-  /// queries (correct, just not word-parallel). Both bitsets are sized to
-  /// the node count and arrive zeroed-or-stale; implementations must
-  /// overwrite them completely and must not allocate.
+  /// The per-node methods above must give the same answers: they are what
+  /// Simulator::audit_invariants() and the reference simulator in tests/
+  /// check the sets against. Both sets are sized to the node count and
+  /// arrive zeroed-or-stale; implementations must overwrite them completely
+  /// and must not allocate. Returns true; the value carries no information
+  /// and is kept so decorating MACs that forward it stay source-compatible.
   virtual bool fill_slot_sets(util::SlotSet& receivers,
-                              util::SlotSet& transmitters) const;
+                              util::SlotSet& transmitters) const = 0;
 
   /// True when wants_transmit(x, y) additionally requires y to be an
-  /// eligible receiver this slot (schedule-aware senders). Only consulted
-  /// when fill_slot_sets() returned true.
+  /// eligible receiver this slot (schedule-aware senders).
   [[nodiscard]] virtual bool sender_gates_on_receiver() const { return false; }
 
   /// Fast-forward period: the frame length L such that this MAC's behavior

@@ -7,12 +7,13 @@
 // (collision-at-receiver, no capture). Energy is accounted per node per
 // slot by radio state.
 //
-// The per-slot pipeline operates on whole node-sets (DynamicBitsets) rather
-// than individual nodes — the batched formulation the paper uses
-// analytically (per-slot transmitter set T[i] and receiver set R[i]) mapped
-// onto word-parallel kernels. The legacy node-at-a-time pipeline is kept
-// behind SimConfig::force_scalar_pipeline as the differential-testing
-// reference; both produce bit-identical SimStats. See DESIGN.md §8.
+// The per-slot pipeline operates on whole node-sets rather than individual
+// nodes — the batched formulation the paper uses analytically (per-slot
+// transmitter set T[i] and receiver set R[i]) mapped onto set algebra over
+// util::SlotSet. There is one pipeline; the simulator picks the set
+// representation from the density it observes (kPinnedDenseMaxNodes,
+// kDensityProbeSlots). The node-at-a-time reading of the same rules lives
+// in tests/reference as the differential oracle. See DESIGN.md §8 and §13.
 //
 // Topology can be swapped mid-run (set_graph) to model churn; topology-
 // transparent MACs keep working with no reconfiguration, which is the point
@@ -37,10 +38,6 @@
 #include "sim/traffic.hpp"
 #include "util/rng.hpp"
 #include "util/slot_set.hpp"
-
-namespace ttdc::net {
-class DomainGrid;  // net/domain_grid.hpp
-}
 
 namespace ttdc::sim {
 
@@ -79,44 +76,6 @@ struct SimConfig {
   /// sync_miss_rate (transmitter misaligned with the slot grid).
   double packet_error_rate = 0.0;
   double sync_miss_rate = 0.0;
-  /// Runs the legacy node-at-a-time pipeline instead of the word-parallel
-  /// batched one. The two are equivalent (same stats, same rng stream) and
-  /// the golden tests assert exactly that; outside those tests there is no
-  /// reason to set this.
-  bool force_scalar_pipeline = false;
-  /// Hybrid sparse/dense pipeline (DESIGN.md §13). When set, the per-slot
-  /// node sets keep their adaptive util::SlotSet representation, so phase
-  /// costs scale with the slot's ACTIVE population instead of n — the
-  /// metropolitan-scale regime where low duty cycle means almost everyone
-  /// sleeps. When clear (the default), every per-slot set is pinned dense
-  /// and the pipeline is byte-for-byte the pre-hybrid word-parallel one.
-  /// Either way SimStats are bit-identical: representation never changes
-  /// semantics, and the golden megascale tests assert exactly that (all
-  /// five MACs, faults armed and disarmed). Ignored under
-  /// force_scalar_pipeline.
-  bool hybrid_pipeline = false;
-  /// Worker-team size for the sharded phase-2 reception kernel (hybrid
-  /// pipeline only; <= 1 keeps every phase serial). The per-transmission
-  /// verdicts (receiver-awake + collision) are pure reads of the slot's
-  /// frozen sets, so they precompute in parallel across util/parallel.hpp
-  /// workers — grouped by spatial collision domain when `domains` is set —
-  /// and the stateful fold (queue mutations, stats, channel-noise rng
-  /// draws) then replays serially in transmitter-index order. Results are
-  /// bit-identical at ANY worker count, the same discipline as the PR 4
-  /// campaign barrier. Inside an already-parallel region (campaign cells)
-  /// the kernel degrades to serial automatically.
-  int shard_workers = 0;
-  /// Minimum transmissions in a slot before phase 2 shards; below this the
-  /// parallel-region dispatch costs more than the kernel.
-  std::size_t shard_min_items = 128;
-  /// Optional spatial collision-domain grid over the topology's positions
-  /// (net/domain_grid.hpp; cell size >= transmission radius, so all of a
-  /// node's interferers are inside its 3x3 cell neighborhood). When set,
-  /// sharded phase-2 work is ordered by the receiver's cell so a worker's
-  /// chunk touches one spatial region. Must describe the simulator's
-  /// current topology and outlive it; MobilityModel::grid() maintains one
-  /// incrementally across mobility events.
-  const net::DomainGrid* domains = nullptr;
   /// Optional per-event hook; leave empty for zero overhead on the hot
   /// path beyond a branch. Structured sinks (JSONL, ring buffer, filters,
   /// fan-out) live in obs/trace.hpp and plug in via their fn() adapters.
@@ -134,7 +93,7 @@ struct SimConfig {
   /// step() pays one branch per slot; installed but disarmed
   /// (FlightRecorder::enable(false)) costs one relaxed load per slot; armed
   /// recording never touches the RNG stream or SimStats, so golden
-  /// equality between pipelines is preserved with recording on or off.
+  /// equality with the reference simulator holds with recording on or off.
   obs::FlightRecorder* recorder = nullptr;
   /// Per-node battery budget in millijoules; 0 means unlimited. When a
   /// node's budget (drained per slot by radio state and per wakeup, using
@@ -151,8 +110,8 @@ struct SimConfig {
   /// one predictable branch per slot and per hook site; armed fault
   /// randomness comes from per-link/per-node streams derived from the plan
   /// seed — never from the simulator's own rng_ — so a run with an
-  /// armed-but-EMPTY plan is bit-identical to an unarmed run, and
-  /// scalar/batched pipeline golden equality holds with faults on. The plan
+  /// armed-but-EMPTY plan is bit-identical to an unarmed run, and the
+  /// reference-simulator golden equality holds with faults on. The plan
   /// must outlive the simulator and is shareable across cells (all mutable
   /// fault state lives in the simulator).
   const FaultPlan* fault_plan = nullptr;
@@ -175,13 +134,28 @@ struct SimConfig {
   /// topology change, armed flight recorder). The knob is a no-op (engine
   /// stays disarmed) unless the MAC reports a fast_forward_period() and the
   /// traffic source supports_lookahead(); it is also disarmed under
-  /// force_scalar_pipeline, tracing, or channel imperfections (per-slot rng
-  /// draws make frames unrepeatable).
+  /// tracing or channel imperfections (per-slot rng draws make frames
+  /// unrepeatable).
   bool fast_forward = false;
 };
 
 class Simulator {
  public:
+  /// Largest node count whose per-slot sets are pinned dense (word-parallel
+  /// bitsets) from the first slot: a set of at most 8 words beats a sparse
+  /// index list whatever its population. Representation never changes
+  /// SimStats.
+  static constexpr std::size_t kPinnedDenseMaxNodes = 512;
+  /// Above kPinnedDenseMaxNodes the per-slot sets start adaptive and the
+  /// first kDensityProbeSlots stepped slots measure the MAC's published
+  /// sets. If the smaller of the two averages more members than a set has
+  /// bitset words, sparse lists would be longer than the bitsets they
+  /// replace, and every per-slot set is pinned dense for the rest of the
+  /// run. Otherwise the sets stay adaptive, so slot cost scales with the
+  /// slot's active population instead of n — the metropolitan regime where
+  /// almost everyone sleeps.
+  static constexpr std::uint64_t kDensityProbeSlots = 64;
+
   Simulator(net::Graph graph, MacProtocol& mac, TrafficSource& traffic,
             const SimConfig& config = {});
 
@@ -193,11 +167,11 @@ class Simulator {
   void set_graph(net::Graph graph);
 
   /// Cross-checks the simulator's incremental state against its defining
-  /// invariants and the MAC's batched answers against its scalar ones:
+  /// invariants and the MAC's slot sets against its per-node answers:
   ///
   ///   * every PacketQueue's ring invariants; backlogged_ and
   ///     unroutable_head_ agree with the queues and the routing table;
-  ///   * dead_/battery_/death_slot_ are mutually consistent and no dead
+  ///   * dead_/battery_/slots_lived_ are mutually consistent and no dead
   ///     node is transmitting;
   ///   * per-node state-slot counters never exceed the slots the node
   ///     participated in (the sleep-identity of finalize_sleep_counts());
@@ -212,16 +186,18 @@ class Simulator {
   /// TTDC_DCHECK (abort, or ContractViolation in throw mode).
   void audit_invariants() const;
 
-  /// Simulation statistics. In the batched pipeline, per-node sleep-slot
-  /// counts are materialized lazily on this call (they are derived, not
-  /// accumulated, so sleepy networks cost O(awake) per slot, not O(n));
-  /// the operation is idempotent and logically const.
+  /// Simulation statistics. Per-node sleep-slot counts are materialized
+  /// lazily on this call (they are derived, not accumulated, so sleepy
+  /// networks cost O(awake) per slot, not O(n)); the operation is
+  /// idempotent and logically const.
   [[nodiscard]] const SimStats& stats() const {
     const_cast<Simulator*>(this)->finalize_sleep_counts();
     return stats_;
   }
   [[nodiscard]] const net::Graph& graph() const { return graph_; }
   [[nodiscard]] std::uint64_t now() const { return now_; }
+  /// True once the per-slot sets are pinned dense (see kDensityProbeSlots).
+  [[nodiscard]] bool slot_sets_pinned() const { return sets_pinned_; }
 
   /// Backlog probe for SaturatedFlows.
   [[nodiscard]] std::size_t queue_size(std::size_t node) const {
@@ -274,21 +250,16 @@ class Simulator {
   void replay_frame(const FastForwardState::Entry& entry, std::uint64_t period,
                     std::uint64_t k);
 
+  // --- set representation (kPinnedDenseMaxNodes, kDensityProbeSlots) ---
+  void pin_slot_sets();
+  /// Adds this slot's MAC set populations to the probe; decides at its end.
+  void probe_density();
+
   // --- pipeline phases (DESIGN.md §8) ---
-  void collect_transmissions_scalar();                 // phase 1, legacy
-  void collect_transmissions_batched(bool mac_batched);  // phase 1
-  void resolve_receptions(bool batched);               // phase 2
-  /// Sharded phase-2 verdict precompute (hybrid pipeline, shard_workers >
-  /// 1): fills verdicts_[i] for every pending transmission from the slot's
-  /// frozen sets, in parallel, ordered by collision domain when configured.
-  /// resolve_receptions() then consumes the verdicts in its serial
-  /// index-order fold.
-  void compute_reception_verdicts();
-  /// Phase 3, node-at-a-time. `receivers` substitutes for virtual
-  /// can_receive() calls when non-null (batched pipeline, scalar-only MAC).
-  void account_energy_scalar(const util::SlotSet* receivers);
-  void account_energy_batched();                       // phase 3, set-driven
-  void kill_node(std::size_t v);
+  void collect_transmissions();  // phase 1
+  void resolve_receptions();     // phase 2
+  void account_energy();         // phase 3
+  void kill_node(std::size_t v, std::uint64_t slots_lived);
 
   // --- fault injection (all no-ops / never called unless fault_armed_) ---
   /// Applies every plan event due at now_, then refreshes the per-slot
@@ -304,17 +275,16 @@ class Simulator {
   /// loss verdict from the link's OWN SplitMix64-derived stream.
   bool ge_lost(std::size_t x, std::size_t y);
   /// Rewrites state_slots[v][kSleep] from the identity
-  ///   sleep = slots_participated - transmit - receive - listen,
-  /// which holds on every pipeline; the batched phase 3 never increments
-  /// sleep counts eagerly. No-op on the pure scalar pipeline.
+  ///   sleep = slots_participated - transmit - receive - listen;
+  /// phase 3 never increments sleep counts eagerly.
   void finalize_sleep_counts();
 
   /// Queue mutations funnel through these so backlogged_ and
   /// unroutable_head_ stay exact. Tracking head routability incrementally
-  /// (one cached-column lookup per head change) is what lets the batched
-  /// phase 1 visit only eligible ∪ unroutable-head nodes instead of every
-  /// backlogged node, while dropping unroutable packets in exactly the slot
-  /// the scalar pipeline would.
+  /// (one cached-column lookup per head change) is what lets phase 1 visit
+  /// only eligible ∪ unroutable-head nodes instead of every backlogged
+  /// node, while still dropping an unroutable packet in the slot its node
+  /// would have been offered the channel.
   bool queue_push(std::size_t node, const Packet& p) {
     if (!queues_[node].push(p)) return false;
     backlogged_.set(node);
@@ -418,9 +388,12 @@ class Simulator {
 
   // Per-slot scratch, kept here so the steady-state hot path never touches
   // the allocator (the zero-allocation invariant, DESIGN.md §8). All node
-  // sets are hybrid SlotSets: pinned dense outside the hybrid pipeline
-  // (making the dense pipeline exactly the pre-hybrid word-parallel one),
-  // adaptive under SimConfig::hybrid_pipeline.
+  // sets are SlotSets: pinned dense up to kPinnedDenseMaxNodes nodes, above
+  // it adaptive unless the density probe pins them.
+  bool sets_pinned_ = false;
+  bool probing_ = false;               // density probe still running
+  std::uint64_t probe_slots_ = 0;
+  std::uint64_t probe_members_ = 0;    // sum of min(|receivers|, |eligible|)
   std::vector<std::size_t> tx_nodes_;
   std::vector<std::size_t> tx_targets_;
   util::SlotSet transmitting_;  // this slot's transmitters
@@ -441,14 +414,10 @@ class Simulator {
   // match the slot-by-slot run bit for bit.
   std::vector<std::int64_t> battery_;  // remaining units per node (battery_mj > 0 only)
   util::SlotSet dead_;          // depleted nodes
-  std::vector<std::uint64_t> death_slot_;  // slot of death, kNeverDied while alive
-
-  // Sharded-phase-2 scratch (hybrid pipeline with shard_workers > 1).
-  bool hybrid_ = false;          // hybrid_pipeline && !force_scalar_pipeline
-  bool use_verdicts_ = false;    // verdicts_ filled for the current slot
-  std::vector<std::uint8_t> verdicts_;      // per pending transmission
-  std::vector<std::uint32_t> shard_order_;  // tx indices, domain-grouped
-  std::vector<std::uint32_t> shard_keys_;   // receiver cell per tx index
+  // Slots whose radio accounting included the node (its lifetime in slots),
+  // kStillAlive while alive. A node drained to zero in phase 3 lived
+  // through its death slot; one killed by a fault at slot start did not.
+  std::vector<std::uint64_t> slots_lived_;
 
   // Fault-injection state (sized / maintained only when fault_armed_).
   bool fault_armed_ = false;          // config_.fault_plan != nullptr
@@ -467,9 +436,8 @@ class Simulator {
     bool bad = false;
   };
   std::unordered_map<std::uint64_t, GeLink> ge_links_;  // key = x * n + y
-  // Per-slot energy constants in battery units (see battery_ above);
-  // b_receive_ only feeds the scalar pipeline's per-state table.
-  std::int64_t b_transmit_ = 0, b_receive_ = 0, b_listen_ = 0, b_sleep_ = 0;
+  // Per-slot energy constants in battery units (see battery_ above).
+  std::int64_t b_transmit_ = 0, b_listen_ = 0, b_sleep_ = 0;
   std::int64_t b_wakeup_ = 0;
 
   // Fast-forward engine state; null whenever the arming conditions in the
@@ -477,7 +445,7 @@ class Simulator {
   // plain stepping loop.
   std::unique_ptr<FastForwardState> ff_;
 
-  static constexpr std::uint64_t kNeverDied = ~std::uint64_t{0};
+  static constexpr std::uint64_t kStillAlive = ~std::uint64_t{0};
   /// Battery integer scale: 1e9 units per millijoule. The smallest per-slot
   /// cost (sleep, 3e-5 mJ) is 30 000 units, so every radio-state cost is
   /// exactly representable; the largest budget that fits comfortably is

@@ -135,17 +135,19 @@ class BatchArrivalTraffic final : public TrafficSource {
   std::size_t batch_;
 };
 
-/// Slot-addressable convergecast: the same aggregate load as
-/// ConvergecastTraffic (every non-sink node sends to the sink at `rate`
-/// packets per slot), reformulated as an event stream so the fast-forward
-/// engine can query it. Arrival slots are sampled by geometric gaps on the
-/// AGGREGATE process (P(any arrival in a slot) = 1 - (1-rate)^(n-1)), each
-/// arrival carrying one packet from a uniformly random non-sink origin — at
-/// most one packet per slot, from the source's own SplitMix-seeded stream,
-/// never the simulator's. The realization is therefore a pure function of
-/// (seed, arrival index): identical whether the simulator steps every slot
-/// or skips the proven-silent stretches between arrivals, which is exactly
-/// the supports_lookahead() contract.
+/// Slot-addressable convergecast, an event stream the fast-forward engine
+/// can query. A slot carries AT MOST ONE packet: it is busy with
+/// probability P(any) = 1 - (1-rate)^(n-1) — the chance that at least one
+/// of ConvergecastTraffic's n-1 per-node coins would land — and a busy
+/// slot emits one packet from a uniformly random non-sink origin to the
+/// sink. The load is therefore P(any) packets per slot, below
+/// ConvergecastTraffic's (n-1)*rate; the two agree only to first order when
+/// (n-1)*rate << 1. Busy slots are sampled by geometric gaps on the
+/// source's own SplitMix-seeded stream, never the simulator's, so the
+/// realization is a pure function of (seed, arrival index): identical
+/// whether the simulator steps every slot or skips the proven-silent
+/// stretches between arrivals, which is exactly the supports_lookahead()
+/// contract.
 class LookaheadConvergecastTraffic final : public TrafficSource {
  public:
   LookaheadConvergecastTraffic(std::size_t num_nodes, std::size_t sink, double rate,

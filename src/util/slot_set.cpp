@@ -57,7 +57,7 @@ void SlotSet::set(std::size_t pos) {
   if (dense_) {
     if (pinned_) {
       // Pinned sets skip count maintenance entirely so this stays the
-      // one-store DynamicBitset::set the dense pipeline was built on.
+      // the one-store DynamicBitset::set that small networks run on.
       bits_.set(pos);
       count_valid_ = false;
       return;

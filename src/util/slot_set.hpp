@@ -8,8 +8,8 @@
 // schedules are designed for. Every operation is representation-
 // transparent: two SlotSets holding the same members are equal and behave
 // identically regardless of how either stores them, which is what lets the
-// sharded hybrid pipeline stay bit-identical to the dense batched one
-// (DESIGN.md §13).
+// simulator choose a representation by observed density without changing
+// a single statistic (DESIGN.md §13).
 //
 // Representation policy (hysteresis, so counts oscillating around a single
 // threshold never flap):
@@ -19,11 +19,11 @@
 //     count() below demote_threshold(n) (= promote/2);
 //   * inside the band [demote, promote] the current representation is
 //     sticky;
-//   * copy_from() adopts the source's representation, clear() always
-//     returns to empty-sparse, and pin_dense() freezes the set dense
-//     forever (the dense batched pipeline pins every per-slot set, making
-//     its cost profile — and its perf baselines — identical to the
-//     pre-hybrid DynamicBitset code).
+//   * copy_from() adopts the source's representation, reset_all() returns
+//     an unpinned set to empty-sparse, and pin_dense() freezes the set
+//     dense forever (the simulator pins its per-slot sets in small
+//     networks and wherever its density probe finds the MAC's sets denser
+//     than one member per word: Simulator::kDensityProbeSlots).
 //
 // The dense word storage is kept allocated across demotions and the sparse
 // vector keeps its capacity across promotions, so steady-state per-slot use
@@ -88,7 +88,7 @@ class SlotSet {
 
   /// Freezes the set in dense representation: no representation decisions,
   /// no eager count maintenance — exactly a DynamicBitset with a vtable-free
-  /// mode branch. The dense batched pipeline pins all its per-slot sets.
+  /// mode branch. The simulator pins its per-slot sets for small networks.
   void pin_dense();
 
   [[nodiscard]] bool test(std::size_t pos) const {
@@ -169,21 +169,6 @@ class SlotSet {
         word &= word - 1;
       }
     }
-  }
-
-  /// Sorted member list when sparse (empty span view is not provided for
-  /// dense sets — callers branch on is_dense()). The sharded phase-3 fold
-  /// partitions this directly.
-  [[nodiscard]] const std::vector<std::uint32_t>& sparse_members() const {
-    TTDC_DCHECK(!dense_, "sparse_members() on a dense SlotSet");
-    return sparse_;
-  }
-
-  /// Dense word view; only valid in dense representation (checked). The
-  /// legacy scalar pipeline and fused dense kernels use this.
-  [[nodiscard]] const DynamicBitset& as_dense() const {
-    TTDC_DCHECK(dense_, "as_dense() on a sparse SlotSet");
-    return bits_;
   }
 
   /// Materializes a DynamicBitset copy (allocates; not for hot paths).

@@ -1,21 +1,24 @@
 // Frame-level fast-forwarding (DESIGN.md §15): golden SimStats equality
-// between a fast-forwarded run and a slot-by-slot run — all five MACs, the
-// PR 6 fault storm armed and disarmed, n ∈ {50, 800, 10^4} — plus property
-// tests pinning the invalidation contract: every single invalidation
-// source (traffic arrival, battery death crossing, scheduled fault event,
-// topology move, armed flight recorder) must force slot-accurate fallback,
-// and randomized MACs must keep the engine idle entirely.
+// between a fast-forwarded run, a slot-by-slot run and the reference
+// simulator — all five MACs, the full fault storm armed and disarmed,
+// n ∈ {50, 800, 10^4} — plus property tests pinning the invalidation
+// contract: every single invalidation source (traffic arrival, battery
+// death crossing, scheduled fault event, topology move, armed flight
+// recorder) must force slot-accurate fallback, and randomized MACs must
+// keep the engine idle entirely.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstddef>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "combinatorics/constructions.hpp"
 #include "combinatorics/params.hpp"
 #include "core/builders.hpp"
 #include "core/construct.hpp"
+#include "golden.hpp"
 #include "net/domain_grid.hpp"
 #include "net/topology.hpp"
 #include "obs/flight_recorder.hpp"
@@ -67,31 +70,7 @@ FaultPlan make_fault_plan(std::size_t n, std::uint64_t horizon, std::uint64_t se
   return FaultPlan(fc, n, seed);
 }
 
-void expect_identical_stats(const SimStats& a, const SimStats& b) {
-  EXPECT_EQ(a.slots_run, b.slots_run);
-  EXPECT_EQ(a.generated, b.generated);
-  EXPECT_EQ(a.delivered, b.delivered);
-  EXPECT_EQ(a.hop_successes, b.hop_successes);
-  EXPECT_EQ(a.transmissions, b.transmissions);
-  EXPECT_EQ(a.collisions, b.collisions);
-  EXPECT_EQ(a.receiver_asleep, b.receiver_asleep);
-  EXPECT_EQ(a.channel_losses, b.channel_losses);
-  EXPECT_EQ(a.sync_losses, b.sync_losses);
-  EXPECT_EQ(a.queue_drops, b.queue_drops);
-  EXPECT_EQ(a.burst_losses, b.burst_losses);
-  EXPECT_EQ(a.drift_losses, b.drift_losses);
-  EXPECT_EQ(a.fault_crashes, b.fault_crashes);
-  EXPECT_EQ(a.fault_recoveries, b.fault_recoveries);
-  EXPECT_EQ(a.fault_battery_spikes, b.fault_battery_spikes);
-  EXPECT_EQ(a.fault_jam_bursts, b.fault_jam_bursts);
-  EXPECT_EQ(a.latency.count(), b.latency.count());
-  EXPECT_EQ(a.latency.samples(), b.latency.samples());
-  EXPECT_EQ(a.state_slots, b.state_slots);
-  EXPECT_EQ(a.delivered_by_origin, b.delivered_by_origin);
-  EXPECT_EQ(a.wake_transitions, b.wake_transitions);
-  EXPECT_EQ(a.first_death_slot, b.first_death_slot);
-  EXPECT_EQ(a.deaths, b.deaths);
-}
+using golden::expect_identical_stats;
 
 enum class MacKind { kDutyCycled, kAloha, kUncoordinated, kCommonActive, kColoringTdma };
 
@@ -128,6 +107,7 @@ struct RunOutcome {
   FastForwardStats ff;
 };
 
+template <typename Sim = Simulator>
 RunOutcome run_world(const TestWorld& world, MacKind kind, const FaultPlan* plan,
                      std::uint64_t slots, double rate, bool fast_forward,
                      double battery_mj = 2000.0) {
@@ -140,17 +120,23 @@ RunOutcome run_world(const TestWorld& world, MacKind kind, const FaultPlan* plan
   cfg.seed = 0xCAFE + n;
   cfg.battery_mj = battery_mj;
   cfg.fault_plan = plan;
-  cfg.hybrid_pipeline = n >= 800;
   cfg.fast_forward = fast_forward;
-  Simulator sim(world.graph, *mac, traffic, cfg);
+  Sim sim(world.graph, *mac, traffic, cfg);
   sim.run(slots);
-  return {sim.stats(), sim.fast_forward_stats()};
+  if constexpr (std::is_same_v<Sim, Simulator>) {
+    return {sim.stats(), sim.fast_forward_stats()};
+  } else {
+    return {sim.stats(), {}};
+  }
 }
 
 // The headline golden gate: a fast-forwarded run is bit-identical to the
-// slot-by-slot run, for every MAC, with and without the fault storm, at
-// three sizes. Aggregate replay activity is asserted non-zero so the gate
-// cannot silently pass with the engine never engaging.
+// slot-by-slot run and to the reference simulator, for every MAC, with and
+// without the fault storm, at three sizes straddling
+// Simulator::kPinnedDenseMaxNodes; above it the duty-cycled MAC keeps
+// adaptive sets and the denser MACs are pinned by the density probe.
+// Aggregate replay activity is asserted non-zero so the gate cannot silently
+// pass with the engine never engaging.
 TEST(FastForwardGolden, MatchesSlotAccurateRunAllMacsAllSizes) {
   std::uint64_t total_replayed = 0;
   for (const std::size_t n : {std::size_t{50}, std::size_t{800}, std::size_t{10000}}) {
@@ -166,8 +152,13 @@ TEST(FastForwardGolden, MatchesSlotAccurateRunAllMacsAllSizes) {
       for (const FaultPlan* p : {static_cast<const FaultPlan*>(nullptr), &plan}) {
         const RunOutcome plain = run_world(world, kind, p, slots, rate, false);
         const RunOutcome fast = run_world(world, kind, p, slots, rate, true);
+        const RunOutcome reference =
+            run_world<ReferenceSimulator>(world, kind, p, slots, rate, true);
         ASSERT_NO_FATAL_FAILURE(expect_identical_stats(plain.stats, fast.stats))
             << "n=" << n << " mac=" << mac_name(kind) << " faults=" << (p != nullptr);
+        ASSERT_NO_FATAL_FAILURE(expect_identical_stats(reference.stats, fast.stats))
+            << "reference, n=" << n << " mac=" << mac_name(kind)
+            << " faults=" << (p != nullptr);
         EXPECT_EQ(plain.ff.frames_replayed, 0u) << "flag off must keep the engine out";
         total_replayed += fast.ff.frames_replayed;
       }
@@ -381,6 +372,30 @@ TEST(LookaheadTraffic, ZeroRateNeverEmits) {
       FAIL() << "zero-rate source emitted at slot " << slot;
     });
   }
+}
+
+// The source's documented distribution: at most one packet per slot, and a
+// slot carries one with P(any) = 1 - (1 - r)^(n-1) — strictly less load
+// than ConvergecastTraffic's (n-1)r packets per slot.
+TEST(LookaheadTraffic, AtMostOnePacketPerSlotWithAggregateArrivalProbability) {
+  const std::size_t n = 50;
+  const double rate = 0.01;
+  const std::uint64_t slots = 20000;
+  LookaheadConvergecastTraffic traffic(n, /*sink=*/0, rate, /*seed=*/0x5107);
+  util::Xoshiro256 unused_rng(1);
+  std::uint64_t busy_slots = 0;
+  for (std::uint64_t slot = 0; slot < slots; ++slot) {
+    std::size_t emitted = 0;
+    traffic.generate(slot, unused_rng, [&](std::size_t, std::size_t) { ++emitted; });
+    ASSERT_LE(emitted, 1u) << "slot " << slot;
+    busy_slots += emitted;
+  }
+  const double p_any = 1.0 - std::pow(1.0 - rate, static_cast<double>(n - 1));
+  const double observed = static_cast<double>(busy_slots) / static_cast<double>(slots);
+  // Binomial(slots, p_any): five standard deviations either side.
+  const double bound = 5.0 * std::sqrt(p_any * (1.0 - p_any) / static_cast<double>(slots));
+  EXPECT_NEAR(observed, p_any, bound);
+  EXPECT_LT(observed + bound, rate * static_cast<double>(n - 1));
 }
 
 // The campaign surface: CampaignOptions::fast_forward reaches cell bodies

@@ -7,12 +7,15 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "combinatorics/constructions.hpp"
 #include "combinatorics/params.hpp"
 #include "core/builders.hpp"
 #include "core/construct.hpp"
+#include "golden.hpp"
 #include "net/topology.hpp"
 #include "obs/flight_recorder.hpp"
 #include "sim/fault.hpp"
@@ -30,15 +33,20 @@ constexpr std::size_t kN = 36;
 constexpr std::size_t kD = 4;
 constexpr std::uint64_t kSlots = 10000;
 
-net::Graph test_graph(std::uint64_t seed = 21) {
+// Golden worlds straddle Simulator::kPinnedDenseMaxNodes: the n = 36 world is
+// pinned dense from the first slot, the larger duty-cycled world keeps
+// adaptive sets.
+constexpr std::size_t kGoldenSizes[] = {kN, Simulator::kPinnedDenseMaxNodes + 128};
+
+net::Graph test_graph(std::uint64_t seed = 21, std::size_t n = kN) {
   util::Xoshiro256 rng(seed);
-  return net::random_bounded_degree_graph(kN, kD, 2 * kN, rng);
+  return net::random_bounded_degree_graph(n, kD, 2 * n, rng);
 }
 
-Schedule duty_schedule() {
+Schedule duty_schedule(std::size_t n = kN) {
   return core::construct_duty_cycled(
-      core::non_sleeping_from_family(comb::build_plan(comb::best_plan(kN, kD), kN)), kD, 4,
-      kN / 3);
+      core::non_sleeping_from_family(comb::build_plan(comb::best_plan(n, kD), n)), kD, 4,
+      n / 3);
 }
 
 FaultPlanConfig stormy_config(std::uint64_t horizon) {
@@ -59,37 +67,7 @@ FaultPlanConfig stormy_config(std::uint64_t horizon) {
   return cfg;
 }
 
-/// Field-by-field SimStats equality, including the fault counters — used by
-/// both the bit-identity and pipeline-equivalence tests below.
-void expect_identical_stats(const SimStats& a, const SimStats& b) {
-  EXPECT_EQ(a.slots_run, b.slots_run);
-  EXPECT_EQ(a.generated, b.generated);
-  EXPECT_EQ(a.delivered, b.delivered);
-  EXPECT_EQ(a.hop_successes, b.hop_successes);
-  EXPECT_EQ(a.transmissions, b.transmissions);
-  EXPECT_EQ(a.collisions, b.collisions);
-  EXPECT_EQ(a.receiver_asleep, b.receiver_asleep);
-  EXPECT_EQ(a.channel_losses, b.channel_losses);
-  EXPECT_EQ(a.sync_losses, b.sync_losses);
-  EXPECT_EQ(a.queue_drops, b.queue_drops);
-  EXPECT_EQ(a.fault_crashes, b.fault_crashes);
-  EXPECT_EQ(a.fault_recoveries, b.fault_recoveries);
-  EXPECT_EQ(a.fault_battery_spikes, b.fault_battery_spikes);
-  EXPECT_EQ(a.fault_jam_bursts, b.fault_jam_bursts);
-  EXPECT_EQ(a.burst_losses, b.burst_losses);
-  EXPECT_EQ(a.drift_losses, b.drift_losses);
-  EXPECT_EQ(a.latency.count(), b.latency.count());
-  EXPECT_EQ(a.latency.max(), b.latency.max());
-  EXPECT_DOUBLE_EQ(a.latency.mean(), b.latency.mean());
-  for (double pct : {50.0, 90.0, 99.0, 100.0}) {
-    EXPECT_EQ(a.latency.percentile(pct), b.latency.percentile(pct)) << "p" << pct;
-  }
-  EXPECT_EQ(a.state_slots, b.state_slots);
-  EXPECT_EQ(a.delivered_by_origin, b.delivered_by_origin);
-  EXPECT_EQ(a.wake_transitions, b.wake_transitions);
-  EXPECT_EQ(a.first_death_slot, b.first_death_slot);
-  EXPECT_EQ(a.deaths, b.deaths);
-}
+using golden::expect_identical_stats;
 
 // ---------------------------------------------------------------------------
 // Plan derivation
@@ -319,52 +297,85 @@ TEST(FaultWorld, UnboundedDriftEventuallyLosesTransmissions) {
 TEST(FaultWorld, ArmedEmptyPlanIsBitIdenticalToUnarmed) {
   // The cost contract in SimConfig: fault randomness never touches the
   // simulator's own RNG, so an armed plan with nothing in it reproduces the
-  // unarmed run exactly.
-  const FaultPlan empty(std::vector<FaultEvent>{}, kN);
-  auto run_with = [&](const FaultPlan* plan, bool scalar) {
-    const Schedule s = duty_schedule();
-    DutyCycledScheduleMac mac(s);
-    BernoulliTraffic traffic(kN, 0.02);
-    SimConfig cfg;
-    cfg.seed = 47;
-    cfg.packet_error_rate = 0.01;  // exercise the channel RNG stream too
-    cfg.force_scalar_pipeline = scalar;
-    cfg.fault_plan = plan;
-    Simulator sim(test_graph(), mac, traffic, cfg);
-    sim.run(kSlots);
-    return sim.stats();
-  };
-  for (bool scalar : {false, true}) {
-    const SimStats armed = run_with(&empty, scalar);
-    const SimStats unarmed = run_with(nullptr, scalar);
-    expect_identical_stats(armed, unarmed);
+  // unarmed run exactly — on the pipeline and on the reference simulator.
+  for (const std::size_t n : kGoldenSizes) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const FaultPlan empty(std::vector<FaultEvent>{}, n);
+    const net::Graph g = test_graph(21, n);
+    const Schedule s = duty_schedule(n);
+    auto run_with = [&](auto tag, const FaultPlan* plan) {
+      SimConfig cfg;
+      cfg.seed = 47;
+      cfg.packet_error_rate = 0.01;  // exercise the channel RNG stream too
+      cfg.fault_plan = plan;
+      return golden::run<typename decltype(tag)::type>(
+          g, [&] { return std::make_unique<DutyCycledScheduleMac>(s); },
+          [&] { return std::make_unique<BernoulliTraffic>(n, 0.02); }, cfg,
+          n == kN ? kSlots : kSlots / 2);
+    };
+    const SimStats unarmed = run_with(std::type_identity<Simulator>{}, nullptr);
+    expect_identical_stats(unarmed, run_with(std::type_identity<Simulator>{}, &empty));
+    expect_identical_stats(unarmed,
+                           run_with(std::type_identity<ReferenceSimulator>{}, &empty));
+    expect_identical_stats(unarmed,
+                           run_with(std::type_identity<ReferenceSimulator>{}, nullptr));
   }
 }
 
 TEST(FaultWorld, PipelinesStayGoldenWithStormArmed) {
   // The full storm (crashes, bursty loss, drift, spikes, jammers) must
-  // preserve scalar/batched golden equality — fault handling sits on both
-  // pipelines' shared phases.
-  const FaultPlan plan(stormy_config(kSlots), kN, 0xdead);
-  ASSERT_FALSE(plan.events().empty());
-  auto run_pipeline = [&](bool scalar) {
-    const Schedule s = duty_schedule();
-    DutyCycledScheduleMac mac(s);
-    BernoulliTraffic traffic(kN, 0.02);
-    SimConfig cfg;
-    cfg.seed = 48;
-    cfg.battery_mj = 1e5;
-    cfg.force_scalar_pipeline = scalar;
-    cfg.fault_plan = &plan;
-    Simulator sim(test_graph(), mac, traffic, cfg);
-    sim.run(kSlots);
-    return sim.stats();
-  };
-  const SimStats scalar = run_pipeline(true);
-  const SimStats batched = run_pipeline(false);
-  expect_identical_stats(scalar, batched);
-  // The storm must actually have done something, or this test is vacuous.
-  EXPECT_GT(scalar.fault_crashes + scalar.burst_losses + scalar.fault_jam_bursts, 0u);
+  // preserve reference/pipeline golden equality, with batteries small
+  // enough that spikes and radio drain kill nodes mid-storm.
+  for (const std::size_t n : kGoldenSizes) {
+    const FaultPlan plan(stormy_config(kSlots), n, 0xdead);
+    ASSERT_FALSE(plan.events().empty());
+    const net::Graph g = test_graph(21, n);
+    const Schedule s = duty_schedule(n);
+    for (const double battery_mj : {1e5, 60.0}) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " battery_mj=" + std::to_string(battery_mj));
+      SimConfig cfg;
+      cfg.seed = 48;
+      cfg.battery_mj = battery_mj;
+      cfg.fault_plan = &plan;
+      const auto make_mac = [&] { return std::make_unique<DutyCycledScheduleMac>(s); };
+      const auto make_traffic = [&] { return std::make_unique<BernoulliTraffic>(n, 0.02); };
+      const SimStats reference =
+          golden::run<ReferenceSimulator>(g, make_mac, make_traffic, cfg, kSlots);
+      expect_identical_stats(reference,
+                             golden::run<Simulator>(g, make_mac, make_traffic, cfg, kSlots));
+      // The storm must actually have done something, or this test is vacuous.
+      EXPECT_GT(reference.fault_crashes + reference.burst_losses + reference.fault_jam_bursts,
+                0u);
+      if (battery_mj < 100.0) {
+        EXPECT_GT(reference.deaths, 0u);
+      }
+    }
+  }
+}
+
+TEST(FaultWorld, SpikeDeathAtSlotStartMatchesReference) {
+  // A spike that kills a node lands before the slot's radio accounting, so
+  // the node spends no part of its death slot in any radio state.
+  std::vector<FaultEvent> events;
+  events.push_back({.slot = 10, .node = 4, .magnitude_mj = 5000.0,
+                    .kind = FaultEvent::Kind::kBatterySpike});
+  events.push_back({.slot = 700, .node = 9, .magnitude_mj = 5000.0,
+                    .kind = FaultEvent::Kind::kBatterySpike});
+  const FaultPlan plan(events, kN);
+  const Schedule s = duty_schedule();
+  SimConfig cfg;
+  cfg.seed = 50;
+  cfg.battery_mj = 1000.0;
+  cfg.fault_plan = &plan;
+  const auto make_mac = [&] { return std::make_unique<DutyCycledScheduleMac>(s); };
+  const auto make_traffic = [] { return std::make_unique<BernoulliTraffic>(kN, 0.02); };
+  const SimStats reference =
+      golden::run<ReferenceSimulator>(test_graph(), make_mac, make_traffic, cfg, 2000);
+  const SimStats pipeline =
+      golden::run<Simulator>(test_graph(), make_mac, make_traffic, cfg, 2000);
+  expect_identical_stats(reference, pipeline);
+  EXPECT_EQ(reference.first_death_slot, 10u);
+  EXPECT_EQ(reference.deaths, 2u);
 }
 
 TEST(FaultWorld, SamePlanSameSeedReproducesStats) {

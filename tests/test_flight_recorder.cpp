@@ -12,11 +12,13 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "combinatorics/params.hpp"
 #include "core/builders.hpp"
 #include "core/construct.hpp"
+#include "golden.hpp"
 #include "net/graph.hpp"
 #include "net/topology.hpp"
 #include "obs/flight_query.hpp"
@@ -46,15 +48,16 @@ FlightEvent make_event(std::uint64_t slot, std::uint64_t packet,
   return e;
 }
 
-/// A small duty-cycled deployment shared by the simulator-wiring tests.
+/// A duty-cycled deployment shared by the simulator-wiring tests (small by
+/// default).
 struct Scenario {
-  std::size_t nodes = 30;
+  std::size_t nodes;
   std::size_t degree = 3;
   net::Graph graph;
   core::Schedule duty;
 
-  Scenario()
-      : graph(make_graph(nodes, degree)),
+  explicit Scenario(std::size_t n = 30)
+      : nodes(n), graph(make_graph(nodes, degree)),
         duty(core::construct_duty_cycled(
             core::non_sleeping_from_family(
                 comb::build_plan(comb::best_plan(nodes, degree), nodes)),
@@ -65,39 +68,24 @@ struct Scenario {
     return net::random_bounded_degree_graph(n, d, 2 * n, rng);
   }
 
+  template <typename Sim = sim::Simulator>
   sim::SimStats run(std::uint64_t slots, FlightRecorder* recorder,
-                    bool force_scalar = false,
                     std::vector<sim::TraceEvent>* trace = nullptr) const {
     sim::DutyCycledScheduleMac mac(duty);
     sim::BernoulliTraffic traffic(nodes, 0.02);
     sim::SimConfig config;
     config.seed = 9;
     config.recorder = recorder;
-    config.force_scalar_pipeline = force_scalar;
     if (trace != nullptr) {
       config.trace = [trace](const sim::TraceEvent& e) { trace->push_back(e); };
     }
-    sim::Simulator sim(graph, mac, traffic, config);
+    Sim sim(graph, mac, traffic, config);
     sim.run(slots);
     return sim.stats();
   }
 };
 
-void expect_stats_equal(const sim::SimStats& a, const sim::SimStats& b) {
-  EXPECT_EQ(a.slots_run, b.slots_run);
-  EXPECT_EQ(a.generated, b.generated);
-  EXPECT_EQ(a.delivered, b.delivered);
-  EXPECT_EQ(a.hop_successes, b.hop_successes);
-  EXPECT_EQ(a.transmissions, b.transmissions);
-  EXPECT_EQ(a.collisions, b.collisions);
-  EXPECT_EQ(a.receiver_asleep, b.receiver_asleep);
-  EXPECT_EQ(a.channel_losses, b.channel_losses);
-  EXPECT_EQ(a.sync_losses, b.sync_losses);
-  EXPECT_EQ(a.queue_drops, b.queue_drops);
-  EXPECT_EQ(a.latency.count(), b.latency.count());
-  EXPECT_EQ(a.latency.max(), b.latency.max());
-  EXPECT_DOUBLE_EQ(a.latency.mean(), b.latency.mean());
-}
+using sim::golden::expect_identical_stats;
 
 // ------------------------------------------------------------ ring basics
 
@@ -131,20 +119,25 @@ TEST(FlightRecorderRing, UnwrappedKeepsEverythingInOrder) {
 // ------------------------------------------------------- simulator wiring
 
 TEST(FlightRecorderSim, GoldenStatsUntouchedByRecording) {
-  const Scenario sc;
-  const sim::SimStats plain = sc.run(1200, nullptr);
-  FlightRecorder ring(1 << 16);
-  const sim::SimStats recorded = sc.run(1200, &ring);
-  expect_stats_equal(plain, recorded);
-  EXPECT_GT(ring.seen(), 0u);
+  // One network on each side of Simulator::kPinnedDenseMaxNodes (the larger
+  // duty-cycled one keeps adaptive slot sets).
+  for (const std::size_t n : {std::size_t{30}, sim::Simulator::kPinnedDenseMaxNodes + 128}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const Scenario sc(n);
+    const sim::SimStats plain = sc.run(1200, nullptr);
+    FlightRecorder ring(1 << 18);
+    const sim::SimStats recorded = sc.run(1200, &ring);
+    expect_identical_stats(plain, recorded);
+    EXPECT_GT(ring.seen(), 0u);
 
-  // Scalar pipeline with the recorder attached stays golden too.
-  FlightRecorder scalar_ring(1 << 16);
-  const sim::SimStats scalar = sc.run(1200, &scalar_ring, /*force_scalar=*/true);
-  expect_stats_equal(plain, scalar);
-  // Both pipelines must emit the identical event stream, not merely the
-  // same totals.
-  EXPECT_TRUE(ring.events() == scalar_ring.events());
+    // The reference simulator with the recorder attached stays golden too,
+    // and emits the identical event stream, not merely the same totals.
+    FlightRecorder reference_ring(1 << 18);
+    const sim::SimStats reference = sc.run<sim::ReferenceSimulator>(1200, &reference_ring);
+    expect_identical_stats(plain, reference);
+    EXPECT_EQ(ring.seen(), reference_ring.seen());
+    EXPECT_TRUE(ring.events() == reference_ring.events());
+  }
 }
 
 TEST(FlightRecorderSim, DisarmedRecorderStaysEmptyAndGolden) {
@@ -155,7 +148,7 @@ TEST(FlightRecorderSim, DisarmedRecorderStaysEmptyAndGolden) {
   const sim::SimStats disarmed = sc.run(600, &ring);
   FlightRecorder::enable(true);
   EXPECT_EQ(ring.seen(), 0u);
-  expect_stats_equal(plain, disarmed);
+  expect_identical_stats(plain, disarmed);
 }
 
 TEST(FlightRecorderSim, EventCountsMatchSimStats) {
@@ -269,7 +262,7 @@ TEST(FlightQuery, WorstLatencyAndTopCollisionsMatchGroundTruth) {
   const Scenario sc;
   FlightRecorder ring(1 << 18);
   std::vector<sim::TraceEvent> trace;  // independent event pipeline
-  sc.run(1500, &ring, false, &trace);
+  sc.run(1500, &ring, &trace);
   const FlightLog log(ring.events());
 
   // Ground-truth latencies from the trace pipeline: creation and final

@@ -1,23 +1,24 @@
 // The megascale pipeline (DESIGN.md §13): golden SimStats equality between
-// the dense batched pipeline (every per-slot set pinned dense — the PR 3
-// hot path, byte for byte) and the sharded hybrid pipeline (adaptive
-// sparse/dense SlotSets + parallel phase-2 verdict precompute grouped by
-// spatial collision domain). Covers all five in-tree MACs, faults armed and
-// disarmed, several sizes, and every shard worker count — plus the
-// DomainGrid invariants the sharding leans on and the O(batch) traffic
-// source the megascale bench drives.
+// the reference simulator and sim::Simulator across the slot-set
+// representation rule (Simulator::kPinnedDenseMaxNodes and the density
+// probe), for all five in-tree MACs with faults armed and disarmed, and the
+// rule itself — plus the DomainGrid
+// invariants the unit-disk builder leans on and the O(batch) traffic source
+// the megascale bench drives.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstddef>
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "combinatorics/constructions.hpp"
 #include "combinatorics/params.hpp"
 #include "core/builders.hpp"
 #include "core/construct.hpp"
+#include "golden.hpp"
 #include "net/domain_grid.hpp"
 #include "net/topology.hpp"
 #include "sim/fault.hpp"
@@ -69,33 +70,6 @@ FaultPlan make_fault_plan(std::size_t n, std::uint64_t seed) {
   return FaultPlan(fc, n, seed);
 }
 
-void expect_identical_stats(const SimStats& a, const SimStats& b) {
-  EXPECT_EQ(a.slots_run, b.slots_run);
-  EXPECT_EQ(a.generated, b.generated);
-  EXPECT_EQ(a.delivered, b.delivered);
-  EXPECT_EQ(a.hop_successes, b.hop_successes);
-  EXPECT_EQ(a.transmissions, b.transmissions);
-  EXPECT_EQ(a.collisions, b.collisions);
-  EXPECT_EQ(a.receiver_asleep, b.receiver_asleep);
-  EXPECT_EQ(a.channel_losses, b.channel_losses);
-  EXPECT_EQ(a.sync_losses, b.sync_losses);
-  EXPECT_EQ(a.queue_drops, b.queue_drops);
-  EXPECT_EQ(a.burst_losses, b.burst_losses);
-  EXPECT_EQ(a.drift_losses, b.drift_losses);
-  EXPECT_EQ(a.fault_crashes, b.fault_crashes);
-  EXPECT_EQ(a.fault_recoveries, b.fault_recoveries);
-  EXPECT_EQ(a.fault_battery_spikes, b.fault_battery_spikes);
-  EXPECT_EQ(a.fault_jam_bursts, b.fault_jam_bursts);
-  EXPECT_EQ(a.latency.count(), b.latency.count());
-  EXPECT_EQ(a.latency.max(), b.latency.max());
-  EXPECT_DOUBLE_EQ(a.latency.mean(), b.latency.mean());
-  EXPECT_EQ(a.state_slots, b.state_slots);
-  EXPECT_EQ(a.delivered_by_origin, b.delivered_by_origin);
-  EXPECT_EQ(a.wake_transitions, b.wake_transitions);
-  EXPECT_EQ(a.first_death_slot, b.first_death_slot);
-  EXPECT_EQ(a.deaths, b.deaths);
-}
-
 enum class MacKind { kDutyCycled, kAloha, kUncoordinated, kCommonActive, kColoringTdma };
 
 const char* mac_name(MacKind kind) {
@@ -126,8 +100,8 @@ std::unique_ptr<MacProtocol> make_mac(MacKind kind, const TestWorld& world) {
   return nullptr;
 }
 
-SimStats run_world(const TestWorld& world, MacKind kind, const FaultPlan* plan,
-                   bool hybrid, int shard_workers) {
+template <typename Sim>
+SimStats run_world(const TestWorld& world, MacKind kind, const FaultPlan* plan) {
   const std::size_t n = world.graph.num_nodes();
   auto mac = make_mac(kind, world);
   ConvergecastTraffic traffic(n, /*sink=*/0, 0.01);
@@ -135,71 +109,55 @@ SimStats run_world(const TestWorld& world, MacKind kind, const FaultPlan* plan,
   cfg.seed = 0xCAFE + n;
   cfg.packet_error_rate = 0.01;
   cfg.fault_plan = plan;
-  cfg.hybrid_pipeline = hybrid;
-  cfg.shard_workers = shard_workers;
-  cfg.shard_min_items = 1;  // shard even tiny slots: exercise the kernel
-  cfg.domains = &world.grid;
-  Simulator sim(world.graph, *mac, traffic, cfg);
+  Sim sim(world.graph, *mac, traffic, cfg);
   sim.run(kSlots);
-  return sim.stats();  // stats() finalizes the derived sleep counters
+  return sim.stats();  // Simulator::stats() finalizes the derived sleep counters
 }
 
-// The headline golden gate: dense batched vs sharded hybrid, all five MACs,
-// faults armed and disarmed, n ∈ {50, 400, 800}.
-TEST(MegascaleGolden, HybridShardedMatchesDenseBatchedAllMacs) {
-  for (const std::size_t n : {std::size_t{50}, std::size_t{400}, std::size_t{800}}) {
+// The headline golden gate: reference vs pipeline, all five MACs, faults
+// armed and disarmed, n ∈ {50, 400} (pinned dense from the first slot) and
+// {800, 1600} (the duty-cycled schedule's sparse sets stay adaptive; the
+// other four MACs are pinned by the density probe after its first slots,
+// so the switch itself runs mid-world).
+TEST(MegascaleGolden, PipelineMatchesReferenceAllMacs) {
+  for (const std::size_t n : {std::size_t{50}, std::size_t{400}, std::size_t{800},
+                              std::size_t{1600}}) {
     const TestWorld world = make_world(n, 0xBEEF + n);
     const FaultPlan plan = make_fault_plan(n, 0x5AFE + n);
     for (const MacKind kind :
          {MacKind::kDutyCycled, MacKind::kAloha, MacKind::kUncoordinated,
           MacKind::kCommonActive, MacKind::kColoringTdma}) {
       for (const FaultPlan* p : {static_cast<const FaultPlan*>(nullptr), &plan}) {
-        const SimStats dense = run_world(world, kind, p, /*hybrid=*/false, 0);
-        const SimStats hybrid = run_world(world, kind, p, /*hybrid=*/true, 8);
-        ASSERT_NO_FATAL_FAILURE(expect_identical_stats(dense, hybrid))
-            << "n=" << n << " mac=" << mac_name(kind)
-            << " faults=" << (p != nullptr);
+        SCOPED_TRACE("n=" + std::to_string(n) + " mac=" + mac_name(kind) +
+                     " faults=" + (p != nullptr ? "on" : "off"));
+        golden::expect_identical_stats(run_world<ReferenceSimulator>(world, kind, p),
+                                       run_world<Simulator>(world, kind, p));
+        if (testing::Test::HasFailure()) return;  // the first divergent world says enough
       }
     }
   }
 }
 
-// Bit-identical at ANY worker count — the determinism contract of the
-// verdict precompute + serial fold (and TSan-clean under the sanitizer CI
-// jobs at 1/2/8 workers).
-TEST(MegascaleGolden, ShardWorkerCountNeverChangesResults) {
-  const TestWorld world = make_world(400, 0xD0);
-  const FaultPlan plan = make_fault_plan(400, 0xD1);
-  const SimStats reference = run_world(world, MacKind::kDutyCycled, &plan,
-                                       /*hybrid=*/true, 0);
-  for (const int workers : {1, 2, 8}) {
-    const SimStats got = run_world(world, MacKind::kDutyCycled, &plan,
-                                   /*hybrid=*/true, workers);
-    ASSERT_NO_FATAL_FAILURE(expect_identical_stats(reference, got))
-        << "shard_workers=" << workers;
+// The representation rule: at most kPinnedDenseMaxNodes nodes pins from the
+// first slot; above it the density probe pins a MAC whose published sets
+// hold more members than a bitset has words (ALOHA: everyone listens, 10%
+// send) and leaves a duty-cycled schedule's few-member sets adaptive.
+TEST(MegascaleGolden, DensityProbePicksTheRepresentation) {
+  for (const std::size_t n : {std::size_t{400}, std::size_t{1600}}) {
+    const TestWorld world = make_world(n, 0xBEEF + n);
+    const bool small = n <= Simulator::kPinnedDenseMaxNodes;
+    for (const MacKind kind : {MacKind::kDutyCycled, MacKind::kAloha}) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " mac=" + mac_name(kind));
+      auto mac = make_mac(kind, world);
+      ConvergecastTraffic traffic(n, /*sink=*/0, 0.01);
+      Simulator sim(world.graph, *mac, traffic);
+      EXPECT_EQ(sim.slot_sets_pinned(), small);
+      sim.run(Simulator::kDensityProbeSlots - 1);
+      EXPECT_EQ(sim.slot_sets_pinned(), small);
+      sim.run(Simulator::kDensityProbeSlots + 1);
+      EXPECT_EQ(sim.slot_sets_pinned(), small || kind == MacKind::kAloha);
+    }
   }
-}
-
-// Sharding without a domain grid (identity order) is also deterministic and
-// identical — the grid only changes WHICH worker computes a verdict.
-TEST(MegascaleGolden, DomainGroupingDoesNotChangeResults) {
-  const TestWorld world = make_world(400, 0xD2);
-  auto run_with_domains = [&](const net::DomainGrid* domains) {
-    auto mac = make_mac(MacKind::kAloha, world);
-    ConvergecastTraffic traffic(400, 0, 0.01);
-    SimConfig cfg;
-    cfg.seed = 0xABC;
-    cfg.hybrid_pipeline = true;
-    cfg.shard_workers = 4;
-    cfg.shard_min_items = 1;
-    cfg.domains = domains;
-    Simulator sim(world.graph, *mac, traffic, cfg);
-    sim.run(kSlots);
-    return sim.stats();
-  };
-  const SimStats with_grid = run_with_domains(&world.grid);
-  const SimStats without = run_with_domains(nullptr);
-  ASSERT_NO_FATAL_FAILURE(expect_identical_stats(with_grid, without));
 }
 
 // ------------------------------------------------------------- domain grid

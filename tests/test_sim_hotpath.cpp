@@ -1,22 +1,29 @@
-// The word-parallel simulator hot path (DESIGN.md §8): golden equivalence
-// between the legacy scalar pipeline and the batched pipeline for every MAC
-// protocol, the batched MAC slot-set contract, the lazy routing cache, the
-// ring-buffer packet queue, and the zero-allocation steady-state invariant
+// The simulator hot path (DESIGN.md §8): golden equivalence between the
+// reference simulator and sim::Simulator for every MAC protocol, on one
+// network small enough for pinned-dense slot sets and one large enough for
+// adaptive ones; the MAC slot-set contract; the lazy routing cache; the
+// ring-buffer packet queue; and the zero-allocation steady-state invariant
 // of Simulator::step() (verified with a global operator-new counting hook).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <string>
+#include <type_traits>
+#include <vector>
 
 #include "combinatorics/constructions.hpp"
 #include "combinatorics/params.hpp"
 #include "core/builders.hpp"
 #include "core/construct.hpp"
+#include "golden.hpp"
 #include "net/routing.hpp"
 #include "net/topology.hpp"
 #include "sim/mac.hpp"
 #include "sim/simulator.hpp"
+#include "util/check.hpp"
 
 // ---------------------------------------------------------------------------
 // Allocation-counting hook: replaces the global operator new for this test
@@ -50,155 +57,138 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace ttdc::sim {
 namespace {
 
-using core::DynamicBitset;
 using core::Schedule;
+using golden::expect_identical_stats;
 
 constexpr std::size_t kN = 36;
 constexpr std::size_t kD = 4;
 constexpr std::uint64_t kSlots = 10000;
 
-net::Graph test_graph(std::uint64_t seed = 21) {
-  util::Xoshiro256 rng(seed);
-  return net::random_bounded_degree_graph(kN, kD, 2 * kN, rng);
+/// A bounded-degree network with its duty-cycled schedule.
+struct World {
+  std::size_t n;
+  net::Graph graph;
+  Schedule duty;
+  std::uint64_t slots;
+};
+
+World make_world(std::size_t n, std::uint64_t slots) {
+  util::Xoshiro256 rng(21);
+  return {n, net::random_bounded_degree_graph(n, kD, 2 * n, rng),
+          core::construct_duty_cycled(
+              core::non_sleeping_from_family(comb::build_plan(comb::best_plan(n, kD), n)),
+              kD, 4, n / 3),
+          slots};
 }
 
-Schedule duty_schedule() {
-  return core::construct_duty_cycled(
-      core::non_sleeping_from_family(comb::build_plan(comb::best_plan(kN, kD), kN)), kD, 4,
-      kN / 3);
+/// One world on each side of Simulator::kPinnedDenseMaxNodes. Above it the
+/// duty-cycled schedule's few-member sets stay adaptive, while the denser
+/// MACs are pinned dense by the density probe a few dozen slots in.
+const std::vector<World>& worlds() {
+  static const std::vector<World> kWorlds = [] {
+    std::vector<World> w;
+    w.push_back(make_world(kN, kSlots));
+    w.push_back(make_world(Simulator::kPinnedDenseMaxNodes + 128, kSlots / 4));
+    return w;
+  }();
+  return kWorlds;
 }
 
-/// Field-by-field SimStats comparison (latency compared through its queries;
-/// the sample multiset is identical iff count/mean/max/percentiles agree on
-/// identical insertion histories).
-void expect_identical_stats(const SimStats& a, const SimStats& b) {
-  EXPECT_EQ(a.slots_run, b.slots_run);
-  EXPECT_EQ(a.generated, b.generated);
-  EXPECT_EQ(a.delivered, b.delivered);
-  EXPECT_EQ(a.hop_successes, b.hop_successes);
-  EXPECT_EQ(a.transmissions, b.transmissions);
-  EXPECT_EQ(a.collisions, b.collisions);
-  EXPECT_EQ(a.receiver_asleep, b.receiver_asleep);
-  EXPECT_EQ(a.channel_losses, b.channel_losses);
-  EXPECT_EQ(a.sync_losses, b.sync_losses);
-  EXPECT_EQ(a.queue_drops, b.queue_drops);
-  EXPECT_EQ(a.latency.count(), b.latency.count());
-  EXPECT_EQ(a.latency.max(), b.latency.max());
-  EXPECT_DOUBLE_EQ(a.latency.mean(), b.latency.mean());
-  for (double pct : {50.0, 90.0, 99.0, 100.0}) {
-    EXPECT_EQ(a.latency.percentile(pct), b.latency.percentile(pct)) << "p" << pct;
+/// Reference vs pipeline on every world; make_mac(world) and rate pick the
+/// MAC and the Bernoulli load.
+template <typename MacFactory>
+void expect_pipeline_matches_reference(MacFactory make_mac, double rate, SimConfig config) {
+  for (const World& w : worlds()) {
+    SCOPED_TRACE("n=" + std::to_string(w.n));
+    golden::expect_matches_reference(
+        w.graph, [&] { return make_mac(w); },
+        [&] { return std::make_unique<BernoulliTraffic>(w.n, rate); }, config, w.slots);
   }
-  EXPECT_EQ(a.state_slots, b.state_slots);
-  EXPECT_EQ(a.delivered_by_origin, b.delivered_by_origin);
-  EXPECT_EQ(a.wake_transitions, b.wake_transitions);
-  EXPECT_EQ(a.first_death_slot, b.first_death_slot);
-  EXPECT_EQ(a.deaths, b.deaths);
-}
-
-/// Runs the same (graph, MAC factory, traffic factory, config) under both
-/// pipelines and asserts identical SimStats.
-template <typename MacFactory, typename TrafficFactory>
-void expect_pipelines_equivalent(MacFactory make_mac, TrafficFactory make_traffic,
-                                 SimConfig config) {
-  auto mac_s = make_mac();
-  auto traffic_s = make_traffic();
-  config.force_scalar_pipeline = true;
-  Simulator scalar(test_graph(), *mac_s, *traffic_s, config);
-  scalar.run(kSlots);
-
-  auto mac_b = make_mac();
-  auto traffic_b = make_traffic();
-  config.force_scalar_pipeline = false;
-  Simulator batched(test_graph(), *mac_b, *traffic_b, config);
-  batched.run(kSlots);
-
-  expect_identical_stats(scalar.stats(), batched.stats());
-}
-
-auto bernoulli_factory(double rate) {
-  return [rate] { return std::make_unique<BernoulliTraffic>(kN, rate); };
 }
 
 TEST(HotPathGolden, DutyCycledScheduleMac) {
-  const Schedule s = duty_schedule();
-  expect_pipelines_equivalent([&] { return std::make_unique<DutyCycledScheduleMac>(s); },
-                              bernoulli_factory(0.01), {.seed = 101});
+  expect_pipeline_matches_reference(
+      [](const World& w) { return std::make_unique<DutyCycledScheduleMac>(w.duty); }, 0.01,
+      {.seed = 101});
 }
 
 TEST(HotPathGolden, DutyCycledScheduleMacNaiveSenders) {
-  const Schedule s = duty_schedule();
-  expect_pipelines_equivalent(
-      [&] { return std::make_unique<DutyCycledScheduleMac>(s, false); },
-      bernoulli_factory(0.01), {.seed = 102});
+  expect_pipeline_matches_reference(
+      [](const World& w) { return std::make_unique<DutyCycledScheduleMac>(w.duty, false); },
+      0.01, {.seed = 102});
 }
 
 TEST(HotPathGolden, SlottedAlohaMac) {
-  expect_pipelines_equivalent([] { return std::make_unique<SlottedAlohaMac>(kN, 0.08); },
-                              bernoulli_factory(0.02), {.seed = 103});
+  expect_pipeline_matches_reference(
+      [](const World& w) { return std::make_unique<SlottedAlohaMac>(w.n, 0.08); }, 0.02,
+      {.seed = 103});
 }
 
 TEST(HotPathGolden, UncoordinatedSleepMac) {
-  expect_pipelines_equivalent(
-      [] { return std::make_unique<UncoordinatedSleepMac>(kN, 0.3, 0.5); },
-      bernoulli_factory(0.02), {.seed = 104});
+  expect_pipeline_matches_reference(
+      [](const World& w) { return std::make_unique<UncoordinatedSleepMac>(w.n, 0.3, 0.5); },
+      0.02, {.seed = 104});
 }
 
 TEST(HotPathGolden, CommonActivePeriodMac) {
-  expect_pipelines_equivalent(
-      [] { return std::make_unique<CommonActivePeriodMac>(kN, 10, 3, 0.2); },
-      bernoulli_factory(0.02), {.seed = 105});
+  expect_pipeline_matches_reference(
+      [](const World& w) { return std::make_unique<CommonActivePeriodMac>(w.n, 10, 3, 0.2); },
+      0.02, {.seed = 105});
 }
 
 TEST(HotPathGolden, ColoringTdmaMac) {
-  expect_pipelines_equivalent([] { return std::make_unique<ColoringTdmaMac>(test_graph()); },
-                              bernoulli_factory(0.02), {.seed = 106});
+  expect_pipeline_matches_reference(
+      [](const World& w) { return std::make_unique<ColoringTdmaMac>(w.graph); }, 0.02,
+      {.seed = 106});
 }
 
 TEST(HotPathGolden, LossyChannelDrawsIdenticalRngStream) {
-  const Schedule s = duty_schedule();
-  expect_pipelines_equivalent(
-      [&] { return std::make_unique<DutyCycledScheduleMac>(s); }, bernoulli_factory(0.02),
+  expect_pipeline_matches_reference(
+      [](const World& w) { return std::make_unique<DutyCycledScheduleMac>(w.duty); }, 0.02,
       {.seed = 107, .packet_error_rate = 0.1, .sync_miss_rate = 0.05});
 }
 
 TEST(HotPathGolden, BatteryDeathsAndWakeAccounting) {
-  const Schedule s = duty_schedule();
   SimConfig config{.seed = 108};
   config.battery_mj = 40.0;  // dies after ~60 listen slots: plenty of deaths
-  expect_pipelines_equivalent([&] { return std::make_unique<DutyCycledScheduleMac>(s); },
-                              bernoulli_factory(0.02), config);
+  expect_pipeline_matches_reference(
+      [](const World& w) { return std::make_unique<DutyCycledScheduleMac>(w.duty); }, 0.02,
+      config);
 
   SimConfig uconfig{.seed = 109};
   uconfig.battery_mj = 25.0;
-  expect_pipelines_equivalent(
-      [] { return std::make_unique<UncoordinatedSleepMac>(kN, 0.4, 0.5); },
-      bernoulli_factory(0.02), uconfig);
+  expect_pipeline_matches_reference(
+      [](const World& w) { return std::make_unique<UncoordinatedSleepMac>(w.n, 0.4, 0.5); },
+      0.02, uconfig);
 }
 
 TEST(HotPathGolden, TopologyChurnKeepsPathsAligned) {
-  const Schedule s = duty_schedule();
-  auto run = [&](bool force_scalar) {
-    DutyCycledScheduleMac mac(s);
-    BernoulliTraffic traffic(kN, 0.01);
-    SimConfig config{.seed = 110};
-    config.force_scalar_pipeline = force_scalar;
-    Simulator sim(test_graph(1), mac, traffic, config);
-    util::Xoshiro256 topo_rng(77);
+  // Same churn sequence on both simulators: set_graph between epochs.
+  const auto run = [](auto tag, const World& w) {
+    using Sim = typename decltype(tag)::type;
+    DutyCycledScheduleMac mac(w.duty);
+    BernoulliTraffic traffic(w.n, 0.01);
+    util::Xoshiro256 topo_rng(1);
+    Sim sim(net::random_bounded_degree_graph(w.n, kD, 2 * w.n, topo_rng), mac, traffic,
+            {.seed = 110});
+    const std::uint64_t epoch_slots = w.slots * 3 / 20;  // 1,500 on the n = 36 world
     for (int epoch = 0; epoch < 4; ++epoch) {
-      sim.run(1500);
-      sim.set_graph(net::random_bounded_degree_graph(kN, kD, 2 * kN, topo_rng));
+      sim.run(epoch_slots);
+      sim.set_graph(net::random_bounded_degree_graph(w.n, kD, 2 * w.n, topo_rng));
     }
-    sim.run(1500);
+    sim.run(epoch_slots);
     return sim.stats();
   };
-  const SimStats a = run(true);
-  const SimStats b = run(false);
-  expect_identical_stats(a, b);
+  for (const World& w : worlds()) {
+    SCOPED_TRACE("n=" + std::to_string(w.n));
+    expect_identical_stats(run(std::type_identity<ReferenceSimulator>{}, w),
+                           run(std::type_identity<Simulator>{}, w));
+  }
 }
 
 // ------------------------------------------------------- slot-set contract
 
-/// Checks fill_slot_sets() against the scalar interface for whatever slots
+/// Checks fill_slot_sets() against the per-node interface for whatever slots
 /// the MAC is currently in: receivers must mirror can_receive, and the
 /// batched transmit rule must mirror wants_transmit for every (v, target).
 void expect_slot_sets_match(MacProtocol& mac, std::size_t n, std::uint64_t slots) {
@@ -219,7 +209,7 @@ void expect_slot_sets_match(MacProtocol& mac, std::size_t n, std::uint64_t slots
             << "slot " << slot << " v " << v << " target " << target;
       }
       // The sleep contract: not transmitting-eligible, not receiving =>
-      // the scalar pipeline would have put the node to sleep.
+      // the node's idle state is sleep.
       if (!receivers.test(v) && !transmitters.test(v)) {
         EXPECT_EQ(mac.idle_state(v), RadioState::kSleep);
       }
@@ -228,46 +218,36 @@ void expect_slot_sets_match(MacProtocol& mac, std::size_t n, std::uint64_t slots
 }
 
 TEST(MacSlotSets, AllInTreeMacsMatchScalarInterface) {
-  const Schedule s = duty_schedule();
-  DutyCycledScheduleMac aware(s), naive(s, false);
-  expect_slot_sets_match(aware, kN, 2 * s.frame_length());
-  expect_slot_sets_match(naive, kN, 2 * s.frame_length());
+  const World& w = worlds().front();
+  DutyCycledScheduleMac aware(w.duty), naive(w.duty, false);
+  expect_slot_sets_match(aware, kN, 2 * w.duty.frame_length());
+  expect_slot_sets_match(naive, kN, 2 * w.duty.frame_length());
   SlottedAlohaMac aloha(kN, 0.3);
   expect_slot_sets_match(aloha, kN, 50);
   UncoordinatedSleepMac unco(kN, 0.4, 0.5);
   expect_slot_sets_match(unco, kN, 50);
   CommonActivePeriodMac smac(kN, 8, 3, 0.4);
   expect_slot_sets_match(smac, kN, 24);
-  ColoringTdmaMac tdma(test_graph());
+  ColoringTdmaMac tdma(w.graph);
   expect_slot_sets_match(tdma, kN, 40);
 }
 
-TEST(MacSlotSets, DefaultFallbackFillsReceiversAndReportsScalar) {
-  // A minimal out-of-tree MAC using only the scalar interface.
-  class EvenListenerMac final : public MacProtocol {
-   public:
-    void begin_slot(std::uint64_t, util::Xoshiro256&) override {}
-    bool can_receive(std::size_t v) const override { return v % 2 == 0; }
-    bool wants_transmit(std::size_t v, std::size_t) const override { return v % 2 == 1; }
-    RadioState idle_state(std::size_t) const override { return RadioState::kSleep; }
-  };
-  EvenListenerMac mac;
-  util::SlotSet receivers(6), transmitters(6);
-  EXPECT_FALSE(mac.fill_slot_sets(receivers, transmitters));
-  for (std::size_t v = 0; v < 6; ++v) EXPECT_EQ(receivers.test(v), v % 2 == 0);
-
-  // And the simulator still drives it correctly through the batched
-  // pipeline's scalar fallback: odd nodes transmit to even neighbors.
-  BernoulliTraffic traffic(6, 0.2);
-  EvenListenerMac mac_b, mac_s;
-  SimConfig config{.seed = 42};
-  Simulator batched(net::path_graph(6), mac_b, traffic, config);
-  batched.run(2000);
-  config.force_scalar_pipeline = true;
-  Simulator scalar(net::path_graph(6), mac_s, traffic, config);
-  scalar.run(2000);
-  EXPECT_GT(batched.stats().delivered, 0u);
-  expect_identical_stats(scalar.stats(), batched.stats());
+TEST(MacSlotSets, ScheduleSizeMismatchIsAContractViolation) {
+  // A schedule over fewer nodes than the simulated graph would be read past
+  // its bitsets; the always-on check must refuse it in every build type.
+  check::ScopedThrowOnViolation guard;
+  const World& small = worlds().front();
+  DutyCycledScheduleMac mac(small.duty);
+  util::SlotSet receivers(small.n + 8), transmitters(small.n + 8);
+  try {
+    mac.fill_slot_sets(receivers, transmitters);
+    FAIL() << "fill_slot_sets accepted a graph larger than its schedule";
+  } catch (const check::ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("schedule has"), std::string::npos) << e.what();
+  }
+  BernoulliTraffic traffic(small.n + 8, 0.01);
+  Simulator sim(net::path_graph(small.n + 8), mac, traffic, {.seed = 1});
+  EXPECT_THROW(sim.run(1), check::ContractViolation);
 }
 
 // ------------------------------------------------------------ routing cache
@@ -328,39 +308,42 @@ TEST(PacketQueueRing, WrapsAroundWithoutLosingFifoOrder) {
 
 // ------------------------------------------------------- zero allocations
 
-TEST(HotPathAllocations, BatchedStepIsAllocationFreeInSteadyState) {
-  const Schedule s = duty_schedule();
-  DutyCycledScheduleMac mac(s);
-  ConvergecastTraffic traffic(kN, 0, 0.02);  // single sink: one routing column
-  Simulator sim(test_graph(), mac, traffic, {.seed = 200});
+/// Counts allocations over a 2000-slot steady-state window of a saturated
+/// convergecast run on `w`, plus `known_allocations` deliberate
+/// allocations inside the window.
+std::uint64_t allocations_in_window(const World& w, int known_allocations) {
+  DutyCycledScheduleMac mac(w.duty);
+  ConvergecastTraffic traffic(w.n, 0, 0.02);  // single sink: one routing column
+  Simulator sim(w.graph, mac, traffic, {.seed = 200});
   sim.run(3000);  // steady state: routing column built, queues saturated
   // Latency samples are the one unbounded buffer; pre-size it for the
   // measured window (the paper's experiments do the same via reserve()).
   sim.reserve_latency(sim.stats().latency.count() + 8192);
   const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
   sim.run(2000);
+  for (int i = 0; i < known_allocations; ++i) {
+    // A direct operator-new call: unlike a new-expression, it cannot be
+    // elided, so the hook must see it.
+    ::operator delete(::operator new(64));
+  }
   const std::uint64_t after = g_alloc_count.load(std::memory_order_relaxed);
-  EXPECT_EQ(after - before, 0u) << "batched Simulator::step() allocated on the hot path";
-  EXPECT_GT(sim.stats().delivered, 0u);       // the window did real work
-  EXPECT_GT(sim.stats().transmissions, 0u);   // including phase-2 resolution
+  EXPECT_GT(sim.stats().delivered, 0u);      // the window did real work
+  EXPECT_GT(sim.stats().transmissions, 0u);  // including phase-2 resolution
+  return after - before;
 }
 
-TEST(HotPathAllocations, ScalarPipelineAllocatesSoTheHookIsLive) {
-  // Differential control: the legacy pipeline materializes an interferer
-  // bitset per transmission, so the same window must show allocations —
-  // proving the counting hook actually observes the simulator.
-  const Schedule s = duty_schedule();
-  DutyCycledScheduleMac mac(s);
-  ConvergecastTraffic traffic(kN, 0, 0.02);
-  SimConfig config{.seed = 200};
-  config.force_scalar_pipeline = true;
-  Simulator sim(test_graph(), mac, traffic, config);
-  sim.run(3000);
-  sim.reserve_latency(sim.stats().latency.count() + 8192);
-  const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
-  sim.run(2000);
-  const std::uint64_t after = g_alloc_count.load(std::memory_order_relaxed);
-  EXPECT_GT(after - before, 0u);
+TEST(HotPathAllocations, BatchedStepIsAllocationFreeInSteadyState) {
+  for (const World& w : worlds()) {
+    EXPECT_EQ(allocations_in_window(w, 0), 0u)
+        << "Simulator::step() allocated on the hot path at n=" << w.n;
+  }
+}
+
+TEST(HotPathAllocations, CountingHookSeesKnownAllocations) {
+  // Control for the test above: the same window plus three deliberate
+  // allocations must count exactly three, proving the hook observes this
+  // binary's allocations and the window itself adds none.
+  EXPECT_EQ(allocations_in_window(worlds().front(), 3), 3u);
 }
 
 }  // namespace

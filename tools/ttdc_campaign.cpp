@@ -50,11 +50,6 @@ int usage(const char* argv0) {
       << "  --cell-timeout SEC    per-cell watchdog; 0 disables (default 0)\n"
       << "  --fault-intensity X   0 disarms faults; (0,1] scales crash/link/jam\n"
       << "                        rates of the per-cell FaultPlan (default 0)\n"
-      << "  --hybrid              adaptive sparse/dense slot sets per cell\n"
-      << "                        (bit-identical stats; see DESIGN.md #13)\n"
-      << "  --shard-workers N     per-cell phase-2 shard team; only useful with\n"
-      << "                        --serial or --workers 1 (nested parallelism\n"
-      << "                        degrades to serial inside campaign workers)\n"
       << "  --out PATH            write the aggregate JSON here (default stdout)\n";
   return 2;
 }
@@ -65,8 +60,8 @@ int main(int argc, char** argv) {
   std::size_t cells = 16, rows = 5, cols = 5;
   std::uint64_t slots = 20000, master_seed = 0x5eed;
   double rate = 0.003, fault_intensity = 0.0, cell_timeout = 0.0;
-  int workers = 0, max_attempts = 3, shard_workers = 0;
-  bool serial = false, resume = true, hybrid = false;
+  int workers = 0, max_attempts = 3;
+  bool serial = false, resume = true;
   std::string journal_path, out_path;
 
   for (int i = 1; i < argc; ++i) {
@@ -102,10 +97,6 @@ int main(int argc, char** argv) {
       cell_timeout = std::strtod(v, nullptr);
     } else if (std::strcmp(arg, "--fault-intensity") == 0 && (v = next())) {
       fault_intensity = std::strtod(v, nullptr);
-    } else if (std::strcmp(arg, "--hybrid") == 0) {
-      hybrid = true;
-    } else if (std::strcmp(arg, "--shard-workers") == 0 && (v = next())) {
-      shard_workers = std::atoi(v);
     } else if (std::strcmp(arg, "--out") == 0 && (v = next())) {
       out_path = v;
     } else {
@@ -132,8 +123,7 @@ int main(int argc, char** argv) {
     std::string name("cell");
     name += std::to_string(c);
     campaign.add(std::move(name),
-                 [&grid, n, slots, rate, fault_intensity, hybrid,
-                  shard_workers](runner::CellContext& ctx) {
+                 [&grid, n, slots, rate, fault_intensity](runner::CellContext& ctx) {
                    // best_plan picks valid family parameters for any n (a
                    // fixed polynomial family only covers n <= q^(k+1)).
                    std::string key("base:best(n=");
@@ -149,8 +139,6 @@ int main(int argc, char** argv) {
                    sim::SimConfig cfg;
                    cfg.seed = ctx.seed();
                    cfg.shared_routing = routing.get();
-                   cfg.hybrid_pipeline = hybrid;
-                   cfg.shard_workers = shard_workers;
                    std::unique_ptr<sim::FaultPlan> plan;
                    if (fault_intensity > 0.0) {
                      sim::FaultPlanConfig fc;
