@@ -232,6 +232,7 @@ void Simulator::record_frame(std::uint64_t key, std::uint64_t period) {
   });
 
   // --- snapshots the post-frame diff is taken against ---
+  drain_state_counts();  // the snapshot and the diff read exact counts
   const util::Xoshiro256 rng_before = rng_;
   const std::uint64_t pre_transmissions = stats_.transmissions;
   const std::uint64_t pre_hop_successes = stats_.hop_successes;
@@ -277,6 +278,7 @@ void Simulator::record_frame(std::uint64_t key, std::uint64_t period) {
   }
 
   // --- delta construction ---
+  drain_state_counts();
   entry.transmissions = stats_.transmissions - pre_transmissions;
   entry.hop_successes = stats_.hop_successes - pre_hop_successes;
   entry.delivered = stats_.delivered - pre_delivered;

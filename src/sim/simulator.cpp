@@ -16,6 +16,16 @@ constexpr auto kTransmitIdx = static_cast<std::size_t>(RadioState::kTransmit);
 constexpr auto kReceiveIdx = static_cast<std::size_t>(RadioState::kReceive);
 constexpr auto kListenIdx = static_cast<std::size_t>(RadioState::kListen);
 constexpr auto kSleepIdx = static_cast<std::size_t>(RadioState::kSleep);
+
+// Where each phase-3 counter bank drains to.
+auto state_sink(SimStats& stats, std::size_t state) {
+  return [&stats, state](std::size_t v, std::uint64_t count) {
+    stats.state_slots[v][state] += count;
+  };
+}
+auto wake_sink(SimStats& stats) {
+  return [&stats](std::size_t v, std::uint64_t count) { stats.wake_transitions[v] += count; };
+}
 }  // namespace
 
 Simulator::Simulator(net::Graph graph, MacProtocol& mac, TrafficSource& traffic,
@@ -28,7 +38,9 @@ Simulator::Simulator(net::Graph graph, MacProtocol& mac, TrafficSource& traffic,
       unroutable_head_(graph_.num_nodes()),
       prev_awake_(graph_.num_nodes()),  // nodes boot asleep
       listen_(graph_.num_nodes()), awake_now_(graph_.num_nodes()),
-      woke_(graph_.num_nodes()), scratch_(graph_.num_nodes()) {
+      woke_(graph_.num_nodes()), scratch_(graph_.num_nodes()),
+      transmit_slots_(graph_.num_nodes()), listen_slots_(graph_.num_nodes()),
+      wake_counts_(graph_.num_nodes()) {
   const std::size_t n = graph_.num_nodes();
   stats_.state_slots.assign(n, {0, 0, 0, 0});
   stats_.delivered_by_origin.assign(n, 0);
@@ -243,15 +255,24 @@ void Simulator::audit_invariants() const {
 
   // State-slot counters: a node accrues transmit/receive/listen slots only
   // while participating (finalize_sleep_counts() derives sleep from this
-  // identity, so underflow here would wrap the sleep counter).
+  // identity, so underflow here would wrap the sleep counter). Every wake
+  // opens an awake slot, and a node awake in the last slot has woken at
+  // least once (nodes boot asleep). Pending phase-3 counts are drained
+  // first; that is logically const, as in stats().
+  const_cast<Simulator*>(this)->drain_state_counts();
   for (std::size_t v = 0; v < n; ++v) {
     const std::uint64_t passes =
         slots_lived_[v] == kStillAlive ? stats_.slots_run : slots_lived_[v];
     const auto& s = stats_.state_slots[v];
-    TTDC_DCHECK(s[kTransmitIdx] + s[kReceiveIdx] + s[kListenIdx] <= passes,
-                "node ", v, " active-state slots ",
-                s[kTransmitIdx] + s[kReceiveIdx] + s[kListenIdx],
+    const std::uint64_t awake = s[kTransmitIdx] + s[kReceiveIdx] + s[kListenIdx];
+    TTDC_DCHECK(awake <= passes, "node ", v, " active-state slots ", awake,
                 " exceed its ", passes, " participated slots");
+    const std::uint64_t wakes = stats_.wake_transitions[v];
+    TTDC_DCHECK(wakes <= awake, "node ", v, " woke ", wakes, " times in ", awake,
+                " awake slots");
+    if (prev_awake_.test(v)) {
+      TTDC_DCHECK(wakes >= 1, "node ", v, " is awake but never counted a wake");
+    }
   }
 
   // MAC slot-set vs per-node cross-check (the fill_slot_sets() contract in
@@ -672,9 +693,12 @@ bool Simulator::ge_lost(std::size_t x, std::size_t y) {
 
 // Phase 3: the slot's radio states as set algebra. Relies on the
 // fill_slot_sets() contract — a node that neither transmits nor receives
-// sleeps — so no virtual call is made at all. Sleep-slot counters are NOT
-// incremented here (they are derived in finalize_sleep_counts()), making
-// the common sleepy-network slot cost O(awake nodes), not O(n).
+// sleeps — so no virtual call is made at all. Transmit, listen and wake
+// counts go into bit-sliced banks, one ripple-carry add per dense set,
+// drained into stats_ on demand (drain_state_counts()); a sparse set's
+// members are counted directly. Sleep-slot counters are derived in
+// finalize_sleep_counts(). Without a battery a slot costs O(words) per
+// dense set and O(members) per sparse one, not one update per awake node.
 void Simulator::account_energy() {
   TTDC_PROF_SCOPE("sim.step.energy");
   // listen = (receivers \ transmitters) \ dead; transmitters exclude the
@@ -685,11 +709,11 @@ void Simulator::account_energy() {
   if (fault_world_) listen_.subtract(down_);  // crashed radios are off
   awake_now_.copy_from(listen_);
   awake_now_ |= transmitting_;
-  transmitting_.for_each([&](std::size_t v) { ++stats_.state_slots[v][kTransmitIdx]; });
-  listen_.for_each([&](std::size_t v) { ++stats_.state_slots[v][kListenIdx]; });
   woke_.copy_from(awake_now_);
   woke_.subtract(prev_awake_);
-  woke_.for_each([&](std::size_t v) { ++stats_.wake_transitions[v]; });
+  transmit_slots_.add(transmitting_, state_sink(stats_, kTransmitIdx));
+  listen_slots_.add(listen_, state_sink(stats_, kListenIdx));
+  wake_counts_.add(woke_, wake_sink(stats_));
   if (config_.battery_mj > 0.0) {
     // State cost first, then the wakeup surcharge, then the death check:
     // each node's battery sees exactly the per-slot sequence of the
@@ -710,7 +734,14 @@ void Simulator::account_energy() {
   prev_awake_.copy_from(awake_now_);
 }
 
+void Simulator::drain_state_counts() {
+  transmit_slots_.drain(state_sink(stats_, kTransmitIdx));
+  listen_slots_.drain(state_sink(stats_, kListenIdx));
+  wake_counts_.drain(wake_sink(stats_));
+}
+
 void Simulator::finalize_sleep_counts() {
+  drain_state_counts();
   const std::size_t n = stats_.state_slots.size();
   for (std::size_t v = 0; v < n; ++v) {
     const std::uint64_t passes =

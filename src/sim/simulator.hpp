@@ -36,6 +36,7 @@
 #include "sim/packet.hpp"
 #include "sim/stats.hpp"
 #include "sim/traffic.hpp"
+#include "util/counter_planes.hpp"
 #include "util/rng.hpp"
 #include "util/slot_set.hpp"
 
@@ -173,8 +174,10 @@ class Simulator {
   ///     unroutable_head_ agree with the queues and the routing table;
   ///   * dead_/battery_/slots_lived_ are mutually consistent and no dead
   ///     node is transmitting;
-  ///   * per-node state-slot counters never exceed the slots the node
-  ///     participated in (the sleep-identity of finalize_sleep_counts());
+  ///   * per-node state-slot counters (pending phase-3 counts drained
+  ///     first) never exceed the slots the node participated in (the
+  ///     sleep-identity of finalize_sleep_counts()), and a node awake in
+  ///     the last slot has woken and been counted awake;
   ///   * fill_slot_sets() agrees with can_receive()/wants_transmit()/
   ///     idle_state() per node, per the contract in mac.hpp (including the
   ///     sender_gates_on_receiver() gating and the sleep promise phase 3
@@ -186,10 +189,12 @@ class Simulator {
   /// TTDC_DCHECK (abort, or ContractViolation in throw mode).
   void audit_invariants() const;
 
-  /// Simulation statistics. Per-node sleep-slot counts are materialized
-  /// lazily on this call (they are derived, not accumulated, so sleepy
-  /// networks cost O(awake) per slot, not O(n)); the operation is
-  /// idempotent and logically const.
+  /// Simulation statistics. Per-node state-slot and wake counts are
+  /// materialized lazily on this call: phase 3 counts dense sets in
+  /// bit-sliced banks and sleep slots are derived, not accumulated, so a
+  /// slot costs O(words) per dense set and O(members) per sparse one, not
+  /// one update per awake node. The operation is idempotent and logically
+  /// const.
   [[nodiscard]] const SimStats& stats() const {
     const_cast<Simulator*>(this)->finalize_sleep_counts();
     return stats_;
@@ -274,10 +279,15 @@ class Simulator {
   /// k-step transition, lazily — idle links cost nothing) and draws the
   /// loss verdict from the link's OWN SplitMix64-derived stream.
   bool ge_lost(std::size_t x, std::size_t y);
-  /// Rewrites state_slots[v][kSleep] from the identity
+  /// Drains the phase-3 counter banks, then rewrites
+  /// state_slots[v][kSleep] from the identity
   ///   sleep = slots_participated - transmit - receive - listen;
   /// phase 3 never increments sleep counts eagerly.
   void finalize_sleep_counts();
+  /// Folds the pending phase-3 counts (transmit_slots_, listen_slots_,
+  /// wake_counts_) into stats_. Idempotent; every reader of
+  /// stats_.state_slots or stats_.wake_transitions calls it first.
+  void drain_state_counts();
 
   /// Queue mutations funnel through these so backlogged_ and
   /// unroutable_head_ stay exact. Tracking head routability incrementally
@@ -406,6 +416,11 @@ class Simulator {
   util::SlotSet awake_now_;     // phase-3 scratch
   util::SlotSet woke_;          // phase-3 scratch
   util::SlotSet scratch_;       // general per-slot scratch
+  // Phase-3 counts not yet in stats_: transmit and listen slots and wake
+  // transitions per node, bit-sliced (util/counter_planes.hpp).
+  util::CounterPlanes transmit_slots_;
+  util::CounterPlanes listen_slots_;
+  util::CounterPlanes wake_counts_;
   // Battery bookkeeping is INTEGER: nano-millijoule units, converted once
   // from the double-valued config at construction. Integer drains make
   // "k frames of idle cost exactly k * per-frame cost" an identity rather

@@ -143,6 +143,14 @@ class SlotSet {
     }
   }
 
+  /// The bitset words of a dense set: bit b of word w is member
+  /// w * 64 + b, and bits past size() are zero. For word-parallel consumers
+  /// (CounterPlanes).
+  [[nodiscard]] const std::vector<Word>& dense_words() const {
+    TTDC_DCHECK(dense_, "SlotSet::dense_words() on a sparse set");
+    return bits_.words();
+  }
+
   /// Calls fn(i) for every member of (*this AND other), in increasing
   /// order, without materializing the intersection.
   template <typename Fn>

@@ -13,7 +13,11 @@
 #include <cstddef>
 #include <vector>
 
+#include "combinatorics/constructions.hpp"
+#include "combinatorics/params.hpp"
 #include "core/builders.hpp"
+#include "core/construct.hpp"
+#include "golden.hpp"
 #include "net/topology.hpp"
 #include "sim/mac.hpp"
 #include "sim/packet.hpp"
@@ -116,6 +120,35 @@ TEST(SimulatorAudit, PassesWithBatteryDeaths) {
   DutyCycledScheduleMac mac(s);
   // Tiny budget so nodes die mid-run and the death bookkeeping is audited.
   run_and_audit(mac, net::path_graph(5), /*battery_mj=*/0.5);
+}
+
+// Phase 3 counts transmit, listen and wake slots in bit-sliced banks that
+// reach SimStats only when drained. An audit between reads (runs of odd
+// length, no stats() call) finds counts pending: it must drain them before
+// its state-slot checks — a node awake in the last slot has woken, which
+// the undrained counts would deny — and the drain must not change the run.
+TEST(SimulatorAudit, MidRunAuditDrainsPendingStateCounts) {
+  const std::size_t n = 640;  // above the pinned-dense size: adaptive sets
+  util::Xoshiro256 topo(3);
+  const net::Graph graph = net::random_bounded_degree_graph(n, 4, 2 * n, topo);
+  const Schedule duty = core::construct_duty_cycled(
+      core::non_sleeping_from_family(comb::build_plan(comb::best_plan(n, 4), n)), 4, 4, n / 3);
+  const auto run = [&](bool audit) {
+    DutyCycledScheduleMac mac(duty);
+    BernoulliTraffic traffic(n, 0.001);
+    Simulator sim(graph, mac, traffic, {.seed = 41});
+    ScopedThrowOnViolation guard;
+    for (const std::uint64_t burst : {1u, 7u, 13u, 37u, 101u}) {
+      sim.run(burst);
+      if (audit) {
+        EXPECT_NO_THROW(sim.audit_invariants()) << "after slot " << sim.now();
+      }
+    }
+    return sim.stats();
+  };
+  const SimStats plain = run(false);
+  golden::expect_identical_stats(run(true), plain);
+  EXPECT_GT(plain.wake_transitions[0], 0u);
 }
 
 // A MAC that violates the fill_slot_sets() contract in a chosen way while

@@ -1,11 +1,14 @@
 // The simulator hot path (DESIGN.md §8): golden equivalence between the
 // reference simulator and sim::Simulator for every MAC protocol, on one
 // network small enough for pinned-dense slot sets and one large enough for
-// adaptive ones; the MAC slot-set contract; the lazy routing cache; the
-// ring-buffer packet queue; and the zero-allocation steady-state invariant
-// of Simulator::step() (verified with a global operator-new counting hook).
+// adaptive ones; SimStats that do not depend on when stats() drains the
+// phase-3 counter banks; the MAC slot-set contract; the lazy routing cache;
+// the ring-buffer packet queue; and the zero-allocation steady-state
+// invariant of Simulator::step() (verified with a global operator-new
+// counting hook).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <memory>
@@ -186,6 +189,115 @@ TEST(HotPathGolden, TopologyChurnKeepsPathsAligned) {
   }
 }
 
+// -------------------------------------------------- stats() call patterns
+
+/// One Simulator run that reads stats() after every `chunk` slots. Phase 3
+/// counts into bit-sliced banks that drain into SimStats on every read, so
+/// the final stats must not depend on when, or how often, they were read.
+struct ReadRun {
+  SimStats stats;
+  FastForwardStats ff;
+  bool pinned = false;
+};
+
+template <typename MacFactory, typename TrafficFactory>
+ReadRun run_reading_every(const net::Graph& graph, MacFactory&& make_mac,
+                          TrafficFactory&& make_traffic, const SimConfig& config,
+                          std::uint64_t slots, std::uint64_t chunk) {
+  auto mac = make_mac();
+  auto traffic = make_traffic();
+  Simulator sim(graph, *mac, *traffic, config);
+  for (std::uint64_t done = 0; done < slots;) {
+    done += std::min(chunk, slots - done);
+    sim.run(done - sim.now());
+    EXPECT_EQ(sim.stats().slots_run, done);
+  }
+  return {sim.stats(), sim.fast_forward_stats(), sim.slot_sets_pinned()};
+}
+
+/// Reads after every slot, after every frame and once at the end all give
+/// the reference simulator's SimStats. Returns the read-once run.
+template <typename MacFactory, typename TrafficFactory>
+ReadRun expect_reads_do_not_change_stats(const net::Graph& graph, MacFactory make_mac,
+                                         TrafficFactory make_traffic, const SimConfig& config,
+                                         std::uint64_t slots, std::uint64_t frame) {
+  const SimStats reference =
+      golden::run<ReferenceSimulator>(graph, make_mac, make_traffic, config, slots);
+  ReadRun once;
+  for (const std::uint64_t chunk : {std::uint64_t{1}, frame, slots}) {
+    SCOPED_TRACE("stats() every " + std::to_string(chunk) + " slots");
+    ReadRun run = run_reading_every(graph, make_mac, make_traffic, config, slots, chunk);
+    expect_identical_stats(reference, run.stats);
+    if (chunk == slots) once = std::move(run);
+  }
+  return once;
+}
+
+TEST(HotPathGolden, StatsReadPatternPinnedWorld) {
+  const World& w = worlds().front();
+  ASSERT_LE(w.n, Simulator::kPinnedDenseMaxNodes);
+  const ReadRun once = expect_reads_do_not_change_stats(
+      w.graph, [&] { return std::make_unique<DutyCycledScheduleMac>(w.duty); },
+      [&] { return std::make_unique<BernoulliTraffic>(w.n, 0.01); }, {.seed = 111}, w.slots,
+      w.duty.frame_length());
+  EXPECT_TRUE(once.pinned);
+}
+
+// The metro regime at test size: n above kPinnedDenseMaxNodes with
+// αR = n/3, so the receiver (listen) sets are dense adaptive sets while the
+// transmitter sets stay sparse and the density probe leaves them adaptive.
+TEST(HotPathGolden, StatsReadPatternMetroShapedWorld) {
+  const World& w = worlds().back();
+  ASSERT_GT(w.n, Simulator::kPinnedDenseMaxNodes);
+  {
+    DutyCycledScheduleMac mac(w.duty);
+    util::Xoshiro256 rng(1);
+    util::SlotSet receivers(w.n), eligible(w.n);
+    for (std::uint64_t slot = 0; slot < w.duty.frame_length(); ++slot) {
+      mac.begin_slot(slot, rng);
+      mac.fill_slot_sets(receivers, eligible);
+      ASSERT_GT(receivers.count(), util::SlotSet::promote_threshold(w.n)) << "slot " << slot;
+      ASSERT_TRUE(receivers.is_dense());
+    }
+  }
+  const ReadRun once = expect_reads_do_not_change_stats(
+      w.graph, [&] { return std::make_unique<DutyCycledScheduleMac>(w.duty); },
+      [&] { return std::make_unique<ConvergecastTraffic>(w.n, 0, 0.002); }, {.seed = 112},
+      w.slots, w.duty.frame_length());
+  EXPECT_FALSE(once.pinned);
+  EXPECT_GT(once.stats.delivered, 0u);
+}
+
+// Fast-forward on, batteries that run out: record_frame snapshots and diffs
+// the state counts, so it must see them drained, and replayed frames add
+// their deltas on top of counts still pending in the banks.
+TEST(HotPathGolden, StatsReadPatternFastForwardLifetimeWorld) {
+  const World& w = worlds().front();
+  SimConfig config{.seed = 113};
+  config.battery_mj = 2000.0;  // first death after roughly 10^4 slots
+  config.fast_forward = true;
+  const std::uint64_t slots = 4 * w.slots;
+  // Sparse enough that most frames carry no arrival and can be replayed.
+  const ReadRun once = expect_reads_do_not_change_stats(
+      w.graph, [&] { return std::make_unique<DutyCycledScheduleMac>(w.duty); },
+      [&] { return std::make_unique<LookaheadConvergecastTraffic>(w.n, 0, 1e-4, 0x77); },
+      config, slots, w.duty.frame_length());
+  EXPECT_GT(once.ff.frames_recorded, 0u);
+  EXPECT_GT(once.ff.frames_replayed, 0u);
+  EXPECT_GT(once.stats.deaths, 0u);
+}
+
+// Under slotted ALOHA every non-transmitting node listens, so a run longer
+// than a bank's capacity, read once, pushes listen counts past what the
+// planes hold: the banks must drain themselves into SimStats on the way.
+TEST(HotPathGolden, RunLongerThanABankHoldsMatchesReference) {
+  const World& w = worlds().front();
+  const std::uint64_t slots = util::CounterPlanes::kCapacity + 5000;
+  golden::expect_matches_reference(
+      w.graph, [&] { return std::make_unique<SlottedAlohaMac>(w.n, 0.05); },
+      [&] { return std::make_unique<BernoulliTraffic>(w.n, 0.002); }, {.seed = 114}, slots);
+}
+
 // ------------------------------------------------------- slot-set contract
 
 /// Checks fill_slot_sets() against the per-node interface for whatever slots
@@ -309,7 +421,8 @@ TEST(PacketQueueRing, WrapsAroundWithoutLosingFifoOrder) {
 // ------------------------------------------------------- zero allocations
 
 /// Counts allocations over a 2000-slot steady-state window of a saturated
-/// convergecast run on `w`, plus `known_allocations` deliberate
+/// convergecast run on `w`, read through stats() every 100 slots (which
+/// drains the phase-3 counter banks), plus `known_allocations` deliberate
 /// allocations inside the window.
 std::uint64_t allocations_in_window(const World& w, int known_allocations) {
   DutyCycledScheduleMac mac(w.duty);
@@ -319,8 +432,15 @@ std::uint64_t allocations_in_window(const World& w, int known_allocations) {
   // Latency samples are the one unbounded buffer; pre-size it for the
   // measured window (the paper's experiments do the same via reserve()).
   sim.reserve_latency(sim.stats().latency.count() + 8192);
+  // Above kPinnedDenseMaxNodes this is the metro regime: sets left
+  // adaptive by the density probe.
+  EXPECT_EQ(sim.slot_sets_pinned(), w.n <= Simulator::kPinnedDenseMaxNodes);
+  std::uint64_t listen_slots = 0;
   const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
-  sim.run(2000);
+  for (int chunk = 0; chunk < 20; ++chunk) {
+    sim.run(100);
+    listen_slots = sim.stats().state_slots[0][static_cast<std::size_t>(RadioState::kListen)];
+  }
   for (int i = 0; i < known_allocations; ++i) {
     // A direct operator-new call: unlike a new-expression, it cannot be
     // elided, so the hook must see it.
@@ -329,6 +449,7 @@ std::uint64_t allocations_in_window(const World& w, int known_allocations) {
   const std::uint64_t after = g_alloc_count.load(std::memory_order_relaxed);
   EXPECT_GT(sim.stats().delivered, 0u);      // the window did real work
   EXPECT_GT(sim.stats().transmissions, 0u);  // including phase-2 resolution
+  EXPECT_GT(listen_slots, 0u);               // and phase 3
   return after - before;
 }
 

@@ -192,6 +192,27 @@ TEST(SlotSet, ForEachIntersectionMatchesMaterialized) {
   }
 }
 
+TEST(SlotSet, DenseWordsMatchBitsetWords) {
+  util::Xoshiro256 rng(17);
+  for (const std::size_t n : {1u, 64u, 130u, 2000u}) {
+    for (const double p : {0.0, 0.05, 0.6}) {
+      SlotSet s(n);
+      DynamicBitset ref(n);
+      s.pin_dense();
+      for (std::size_t v = 0; v < n; ++v) {
+        if (rng.bernoulli(p)) {
+          s.set(v);
+          ref.set(v);
+        }
+      }
+      EXPECT_EQ(s.dense_words(), ref.words()) << "n=" << n << " p=" << p;
+      s.flip_all();  // bits past size() stay zero
+      ref.flip_all();
+      EXPECT_EQ(s.dense_words(), ref.words()) << "n=" << n << " p=" << p << " flipped";
+    }
+  }
+}
+
 // The randomized lockstep property test: every mutating operation applied
 // identically to a SlotSet and a reference DynamicBitset, equality checked
 // after each.
