@@ -6,8 +6,11 @@
 //   3. Construct() the duty-cycled (αT, αR)-schedule (paper, Figure 2);
 //   4. check Requirement 3, throughput, and energy numbers;
 //   5. run it in the simulator with the observability layer attached
-//      (live metrics, a post-mortem ring buffer, Prometheus exposition).
+//      (a post-mortem flight recorder, SimStats published as Prometheus
+//      metrics).
+#include <algorithm>
 #include <iostream>
+#include <vector>
 
 #include "combinatorics/params.hpp"
 #include "core/builders.hpp"
@@ -16,8 +19,9 @@
 #include "core/throughput.hpp"
 #include "net/topology.hpp"
 #include "obs/export.hpp"
+#include "obs/flight_query.hpp"
+#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "sim/mac.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
@@ -67,28 +71,44 @@ int main() {
   std::cout << "minimum guaranteed deliveries per frame on any link: " << min_slots << "\n";
   std::cout << "worst-case per-link latency bound: " << duty.frame_length() << " slots\n";
 
-  // 6. Simulate an actual deployment with observability attached: live
-  //    metrics (hot-path counters + latency histogram) and a bounded ring
-  //    buffer keeping the last events for post-mortem.
+  // 6. Simulate an actual deployment with observability attached: a
+  //    bounded flight recorder keeps the newest packet-lifecycle events for
+  //    post-mortem, and the finished run's SimStats are published into a
+  //    metrics registry.
   util::Xoshiro256 rng(42);
   const net::Graph g =
       net::random_bounded_degree_graph(kNodes, kMaxDegree, 2 * kNodes, rng);
   sim::DutyCycledScheduleMac mac(duty);
   sim::BernoulliTraffic traffic(kNodes, 0.01);
-  obs::MetricsRegistry metrics;
-  obs::RingBufferTraceSink ring(64);
+  obs::FlightRecorder recorder(4096);
   sim::SimConfig config;
   config.seed = 1;
-  config.metrics = &metrics;
-  config.trace = ring.fn();
+  config.recorder = &recorder;
   sim::Simulator sim(g, mac, traffic, config);
   sim.run(20 * duty.frame_length());
 
+  obs::MetricsRegistry metrics;
   obs::publish_sim_stats(sim.stats(), metrics);
-  std::cout << "\n-- live metrics (Prometheus text exposition) --\n"
+  std::cout << "\n-- metrics (Prometheus text exposition) --\n"
             << obs::prometheus_text(metrics);
-  std::cout << "-- last trace events (" << ring.size() << " of " << ring.seen()
-            << " seen) --\n"
-            << ring.dump();
+
+  // The flight record answers per-packet questions the counters cannot;
+  // self_check() audits every retained packet history.
+  const std::vector<obs::FlightEvent> events = recorder.events();
+  const obs::FlightLog log(events);
+  if (const auto problems = log.self_check(); !problems.empty()) {
+    std::cout << "INCONSISTENT FLIGHT RECORD: " << problems.front() << "\n";
+    return 1;
+  }
+  std::cout << "-- flight record: " << recorder.size() << " of " << recorder.seen()
+            << " events kept --\n";
+  for (const auto& w : log.worst_latency(3)) {
+    std::cout << "slowest: packet " << w.packet_id << " " << w.origin << " -> "
+              << w.destination << ", " << w.latency << " slots\n";
+  }
+  const std::size_t tail = std::min<std::size_t>(events.size(), 8);
+  obs::write_flight_jsonl(
+      std::cout, std::vector<obs::FlightEvent>(events.end() - static_cast<std::ptrdiff_t>(tail),
+                                               events.end()));
   return 0;
 }

@@ -127,10 +127,14 @@ if [ "$perf_check" -eq 1 ]; then
     name="${spec%%:*}"
     flag="${spec#*:}"
     echo "=== $name (perf check) ==="
-    # shellcheck disable=SC2086
-    "$build_dir/bench/$name" $flag
     report="$bench_dir/BENCH_${name#bench_}.json"
     baseline="$repo_root/bench/baselines/BENCH_${name#bench_}.baseline.json"
+    # A stale report from an earlier run must not stand in for this one.
+    rm -f "$report"
+    # A failed gate marks the run failed but does not stop it: every later
+    # bench still runs and is compared to its baseline.
+    # shellcheck disable=SC2086
+    "$build_dir/bench/$name" $flag || { echo "FAILED: $name" >&2; status=1; }
     [ -s "$report" ] || { echo "MISSING REPORT: $report" >&2; exit 1; }
     [ -s "$baseline" ] || { echo "MISSING BASELINE: $baseline" >&2; exit 1; }
     compare_baseline "$report" "$baseline" || status=1

@@ -138,6 +138,16 @@ void publish_sim_stats(const sim::SimStats& stats, MetricsRegistry& registry,
   g("_latency_max_slots", "max delivery latency")
       .set(static_cast<double>(stats.latency.max()));
   g("_deaths", "battery-depleted nodes").set(static_cast<double>(stats.deaths));
+  g("_fault_crashes", "injected node crashes").set(static_cast<double>(stats.fault_crashes));
+  g("_fault_recoveries", "injected node recoveries")
+      .set(static_cast<double>(stats.fault_recoveries));
+  g("_fault_battery_spikes", "injected battery spikes")
+      .set(static_cast<double>(stats.fault_battery_spikes));
+  g("_fault_jam_bursts", "injected jam bursts").set(static_cast<double>(stats.fault_jam_bursts));
+  g("_burst_losses", "receptions lost to bursty (Gilbert-Elliott) links")
+      .set(static_cast<double>(stats.burst_losses));
+  g("_drift_losses", "receptions lost to clock drift")
+      .set(static_cast<double>(stats.drift_losses));
 }
 
 }  // namespace ttdc::obs

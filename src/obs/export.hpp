@@ -32,9 +32,11 @@ namespace ttdc::obs {
 /// Convenience: snapshot + render in one call.
 [[nodiscard]] std::string prometheus_text(const MetricsRegistry& registry);
 
-/// Publishes the aggregate counters and derived ratios of a finished (or
-/// in-flight) run into `registry` under `<prefix>_...` — snapshot-on-read
-/// companion to the simulator's live hot-path counters.
+/// Publishes the counters (fault counters included) and derived ratios of
+/// a finished (or in-flight) run into `registry` as `<prefix>_...` gauges.
+/// This is the simulator's one metrics path: the hot path only counts into
+/// SimStats, and a registry reads whatever SimStats it is handed last.
+/// Gauges are set, not added, so publishing twice is harmless.
 void publish_sim_stats(const sim::SimStats& stats, MetricsRegistry& registry,
                        const std::string& prefix = "ttdc_sim");
 

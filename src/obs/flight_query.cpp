@@ -29,7 +29,7 @@ constexpr std::array<FlightEvent::Kind, FlightEvent::kNumKinds> kAllFlightKinds 
 };
 
 // Flat one-line objects with known keys, so targeted field extraction is
-// enough (the same approach as trace_replay.cpp).
+// enough.
 bool find_uint_field(const std::string& line, const std::string& key, std::uint64_t& out) {
   const std::string needle = "\"" + key + "\":";
   const auto pos = line.find(needle);

@@ -8,6 +8,7 @@
 #include <sstream>
 #include <thread>
 
+#include "obs/export.hpp"
 #include "obs/flight_query.hpp"
 #include "obs/profile.hpp"
 #include "obs/report.hpp"
@@ -50,7 +51,6 @@ void Campaign::execute_cell_body(std::size_t index, CellContext& ctx) {
   ctx.name_ = cells_[index].name;
   ctx.seed_ = seeds_[index];
   ctx.artifacts_ = artifacts_.get();
-  ctx.metrics_ = options_.metrics;
   ctx.fast_forward_ = options_.fast_forward;
   if (options_.flight_capture) {
     ctx.flight_ =
@@ -92,7 +92,6 @@ void Campaign::run_cell_resilient(std::size_t index, CellContext& ctx) {
     // absent from the aggregate entirely (and flagged), never half-counted.
     ctx.stats_ = sim::SimStats{};
     ctx.metrics_out_.clear();
-    ctx.trace_.clear();
     ctx.quarantined_ = true;
     ctx.error_ = why;
   };
@@ -218,9 +217,6 @@ CampaignResult Campaign::merge(std::vector<CellContext>& contexts, double elapse
       // worker counts.
       result.aggregate.merge(ctx.stats_);
     }
-    if (options_.trace) {
-      for (const auto& e : ctx.trace_) options_.trace(e);
-    }
     if (options_.flight_capture && ctx.flight_ != nullptr &&
         result.flight_dumps.size() < options_.flight_capture->max_dumps) {
       const std::string reason = outlier_reason(*options_.flight_capture, ctx.stats_);
@@ -249,6 +245,7 @@ CampaignResult Campaign::merge(std::vector<CellContext>& contexts, double elapse
     cell.resumed = ctx.done_;
     result.cells.push_back(std::move(cell));
   }
+  if (options_.metrics != nullptr) obs::publish_sim_stats(result.aggregate, *options_.metrics);
   return result;
 }
 

@@ -14,10 +14,10 @@
 //     LatencyStats::merge are exact under a fixed fold order);
 //   * shared artifacts (runner/cache.hpp) are pure functions of their keys,
 //     so a cache hit equals a private rebuild;
-//   * per-cell trace events buffer locally and replay into the campaign
-//     sink at the barrier, again in cell-index order — a campaign-level
-//     JSONL sink sees one deterministic stream, never an interleaving
-//     (and never a data race on a non-thread-safe sink).
+//   * per-cell flight rings are private to their cell and inspected at the
+//     barrier, again in cell-index order, and the campaign metrics registry
+//     is published once from the merged aggregate — nothing a cell records
+//     is shared or interleaved.
 //
 // The determinism contract is what makes the parallelism trustworthy: a
 // campaign's numbers can be compared across machines and worker counts, and
@@ -62,7 +62,7 @@ class CellTimeout : public std::runtime_error {
 /// Per-cell execution context, handed to the cell body. Everything a cell
 /// reads from it is either immutable for the campaign's duration
 /// (index/name/seed, the artifact store) or private to the cell (the stats
-/// and trace accumulators), so cell bodies need no synchronization of
+/// accumulator and flight ring), so cell bodies need no synchronization of
 /// their own.
 class CellContext {
  public:
@@ -78,12 +78,6 @@ class CellContext {
   /// Campaign-wide artifact cache (thread-safe; see cache.hpp).
   [[nodiscard]] ArtifactStore& artifacts() const { return *artifacts_; }
 
-  /// Campaign-level metrics registry, or nullptr when the campaign has
-  /// none. Handles are atomic, so wiring it into SimConfig::metrics from
-  /// many cells at once is safe, and the end-of-campaign snapshot is a sum
-  /// over cells — order-independent by construction.
-  [[nodiscard]] obs::MetricsRegistry* metrics() const { return metrics_; }
-
   /// Folds a finished simulation's stats into this cell's contribution to
   /// the campaign aggregate (callable multiple times per cell).
   void record(const sim::SimStats& stats) { stats_.merge(stats); }
@@ -95,19 +89,11 @@ class CellContext {
     metrics_out_.emplace_back(std::move(key), value);
   }
 
-  /// Trace hook for SimConfig::trace. Events buffer inside the cell and
-  /// replay into the campaign sink at the join barrier in cell-index
-  /// order; cells must use this (or no trace at all) rather than wiring a
-  /// shared sink into SimConfig directly, which would interleave workers.
-  [[nodiscard]] std::function<void(const sim::TraceEvent&)> trace_fn() {
-    return [this](const sim::TraceEvent& e) { trace_.push_back(e); };
-  }
-
   /// This cell's private flight-recorder ring, or nullptr when the
   /// campaign has no flight capture configured. Cells wire it into
   /// SimConfig::recorder; the campaign inspects the ring at the join
-  /// barrier and dumps it only for outlier cells (same buffered-replay
-  /// discipline as trace_fn: nothing shared, nothing interleaved).
+  /// barrier and dumps it only for outlier cells (nothing shared, nothing
+  /// interleaved).
   [[nodiscard]] obs::FlightRecorder* flight_recorder() const { return flight_.get(); }
 
   /// Which attempt this execution is (1 on the first try; retries replay
@@ -137,11 +123,9 @@ class CellContext {
   std::string name_;
   std::uint64_t seed_ = 0;
   ArtifactStore* artifacts_ = nullptr;
-  obs::MetricsRegistry* metrics_ = nullptr;
   bool fast_forward_ = false;
   sim::SimStats stats_;
   std::vector<std::pair<std::string, double>> metrics_out_;
-  std::vector<sim::TraceEvent> trace_;
   std::unique_ptr<obs::FlightRecorder> flight_;
   // Resilience bookkeeping (owned by the runner, read-only to cell bodies).
   std::uint32_t attempts_ = 1;
@@ -265,12 +249,12 @@ struct CampaignOptions {
   /// Worker team size for run(). 0 = $TTDC_NUM_THREADS when set, else the
   /// OpenMP default (util::hardware_parallelism).
   int num_workers = 0;
-  /// Optional campaign-level metrics registry (see CellContext::metrics).
+  /// Optional campaign-level metrics registry. run() and run_serial()
+  /// publish the merged CampaignResult::aggregate into it once, at the
+  /// barrier (obs::publish_sim_stats), so the registry reads exactly the
+  /// aggregate: failed attempts, quarantined cells and journal-restored
+  /// cells count there as they count in the aggregate.
   obs::MetricsRegistry* metrics = nullptr;
-  /// Optional campaign-level trace sink; receives every cell's buffered
-  /// events at the barrier, grouped by cell in index order. Needs no
-  /// thread safety: it is only ever called from the merging thread.
-  std::function<void(const sim::TraceEvent&)> trace;
   /// Campaign-wide frame fast-forwarding opt-in, surfaced to cell bodies
   /// via CellContext::fast_forward() for wiring into
   /// SimConfig::fast_forward. Purely advisory: fast-forwarded cells

@@ -28,7 +28,6 @@
 
 #include <algorithm>
 
-#include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "util/check.hpp"
 #include "util/hash.hpp"
@@ -46,7 +45,6 @@ bool Simulator::try_fast_forward(std::uint64_t period, std::uint64_t run_end) {
   // in fastforward.hpp; any hit means this frame must run slot-accurately.
   if (config_.recorder != nullptr && obs::FlightRecorder::enabled()) {
     ++ff.stats.fallback_recorder;
-    if (ff.m_fallback_recorder) ff.m_fallback_recorder->inc();
     return false;
   }
   const std::uint64_t frame_end = now_ + period;
@@ -57,7 +55,6 @@ bool Simulator::try_fast_forward(std::uint64_t period, std::uint64_t run_end) {
       next_fault = events[fault_cursor_].slot;
       if (next_fault < frame_end) {
         ++ff.stats.fallback_fault_event;
-        if (ff.m_fallback_fault_event) ff.m_fallback_fault_event->inc();
         return false;
       }
     }
@@ -65,7 +62,6 @@ bool Simulator::try_fast_forward(std::uint64_t period, std::uint64_t run_end) {
   const std::uint64_t next_arrival = traffic_.next_emission(now_);
   if (next_arrival < frame_end) {
     ++ff.stats.fallback_arrival;
-    if (ff.m_fallback_arrival) ff.m_fallback_arrival->inc();
     return false;
   }
 
@@ -82,7 +78,6 @@ bool Simulator::try_fast_forward(std::uint64_t period, std::uint64_t run_end) {
     // replay, re-record under the same key (the world that is actually
     // present wins the slot).
     ++ff.stats.fallback_verify;
-    if (ff.m_fallback_verify) ff.m_fallback_verify->inc();
     record_frame(key, period);
     return true;
   }
@@ -117,7 +112,6 @@ bool Simulator::try_fast_forward(std::uint64_t period, std::uint64_t run_end) {
     }
     if (k_batt == 0) {
       ++ff.stats.fallback_battery;
-      if (ff.m_fallback_battery) ff.m_fallback_battery->inc();
       return false;
     }
     k = k_batt;
@@ -352,7 +346,6 @@ void Simulator::record_frame(std::uint64_t key, std::uint64_t period) {
   }
   ff.memo[key] = std::move(entry);
   ++ff.stats.frames_recorded;
-  if (ff.m_frames_recorded) ff.m_frames_recorded->inc();
 }
 
 void Simulator::replay_frame(const FastForwardState::Entry& entry, std::uint64_t period,
@@ -398,18 +391,7 @@ void Simulator::replay_frame(const FastForwardState::Entry& entry, std::uint64_t
   stats_.collisions += entry.collisions * k;
   stats_.receiver_asleep += entry.receiver_asleep * k;
   stats_.queue_drops += entry.queue_drops * k;
-  if (hot_.transmissions && entry.transmissions) hot_.transmissions->inc(entry.transmissions * k);
-  if (hot_.hop_successes && entry.hop_successes) hot_.hop_successes->inc(entry.hop_successes * k);
-  if (hot_.delivered && entry.delivered) hot_.delivered->inc(entry.delivered * k);
-  if (hot_.collisions && entry.collisions) hot_.collisions->inc(entry.collisions * k);
-  if (hot_.receiver_asleep && entry.receiver_asleep) {
-    hot_.receiver_asleep->inc(entry.receiver_asleep * k);
-  }
-  if (hot_.queue_drops && entry.queue_drops) hot_.queue_drops->inc(entry.queue_drops * k);
-  for (const std::uint64_t sample : entry.latency_samples) {
-    stats_.latency.record(sample);
-    if (hot_.latency) hot_.latency->observe(static_cast<double>(sample));
-  }
+  for (const std::uint64_t sample : entry.latency_samples) stats_.latency.record(sample);
   for (const FastForwardState::OriginDelta& d : entry.delivered_by_origin) {
     stats_.delivered_by_origin[d.node] += static_cast<std::uint64_t>(d.delivered) * k;
   }
@@ -433,8 +415,6 @@ void Simulator::replay_frame(const FastForwardState::Entry& entry, std::uint64_t
   stats_.slots_run += k * period;
   ff.stats.frames_replayed += k;
   ff.stats.slots_replayed += k * period;
-  if (ff.m_frames_replayed) ff.m_frames_replayed->inc(k);
-  if (ff.m_slots_replayed) ff.m_slots_replayed->inc(k * period);
 }
 
 }  // namespace ttdc::sim

@@ -45,17 +45,12 @@
 
 #include "sim/packet.hpp"
 
-namespace ttdc::obs {
-class Counter;  // obs/metrics.hpp
-}
-
 namespace ttdc::sim {
 
-/// Fast-forward accounting, exposed via Simulator::fast_forward_stats() and
-/// (when a metrics registry is wired) ttdc_sim_ff_* counters. NOT part of
-/// SimStats: two runs differing only in the fast_forward flag must produce
-/// bit-identical SimStats, and campaign journal contributions must stay
-/// byte-identical.
+/// Fast-forward accounting, exposed via Simulator::fast_forward_stats().
+/// NOT part of SimStats: two runs differing only in the fast_forward flag
+/// must produce bit-identical SimStats, and campaign journal contributions
+/// must stay byte-identical.
 struct FastForwardStats {
   std::uint64_t frames_replayed = 0;   // frames applied from the memo
   std::uint64_t slots_replayed = 0;    // slots covered by those frames
@@ -149,16 +144,6 @@ struct FastForwardState {
   /// can never match even transiently.
   std::uint64_t graph_epoch = 0;
   FastForwardStats stats;
-
-  // Live metric handles (null without a metrics registry).
-  obs::Counter* m_frames_replayed = nullptr;
-  obs::Counter* m_slots_replayed = nullptr;
-  obs::Counter* m_frames_recorded = nullptr;
-  obs::Counter* m_fallback_arrival = nullptr;
-  obs::Counter* m_fallback_fault_event = nullptr;
-  obs::Counter* m_fallback_battery = nullptr;
-  obs::Counter* m_fallback_recorder = nullptr;
-  obs::Counter* m_fallback_verify = nullptr;
 
   // Recording scratch, reused across frames (no steady-state allocation
   // once warmed): pre-frame snapshots the record path diffs against.

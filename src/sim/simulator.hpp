@@ -22,14 +22,12 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
 
 #include "net/graph.hpp"
 #include "obs/flight_recorder.hpp"
-#include "obs/metrics.hpp"
 #include "sim/fastforward.hpp"
 #include "sim/fault.hpp"
 #include "sim/mac.hpp"
@@ -41,27 +39,6 @@
 #include "util/slot_set.hpp"
 
 namespace ttdc::sim {
-
-/// A single simulator event, delivered to the optional trace hook as it
-/// happens (ns-2/OMNeT-style observability for debugging and replay).
-struct TraceEvent {
-  enum class Kind : std::uint8_t {
-    kGenerated,      // node = origin, peer = final destination
-    kTransmit,       // node = transmitter, peer = intended next hop
-    kHopDelivered,   // node = receiver, peer = transmitter (packet forwarded on)
-    kFinalDelivered, // node = receiver, peer = origin
-    kCollision,      // node = intended receiver, peer = transmitter
-    kReceiverAsleep, // node = intended receiver, peer = transmitter
-    kChannelLoss,    // node = intended receiver, peer = transmitter
-    kSyncLoss,       // node = intended receiver, peer = transmitter
-    kQueueDrop,      // node = dropping node, peer = packet origin
-  };
-  Kind kind;
-  std::uint64_t slot;
-  std::size_t node;
-  std::size_t peer;
-  std::uint64_t packet_id;
-};
 
 struct SimConfig {
   std::uint64_t seed = 0x5eed;
@@ -77,15 +54,6 @@ struct SimConfig {
   /// sync_miss_rate (transmitter misaligned with the slot grid).
   double packet_error_rate = 0.0;
   double sync_miss_rate = 0.0;
-  /// Optional per-event hook; leave empty for zero overhead on the hot
-  /// path beyond a branch. Structured sinks (JSONL, ring buffer, filters,
-  /// fan-out) live in obs/trace.hpp and plug in via their fn() adapters.
-  std::function<void(const TraceEvent&)> trace;
-  /// Optional metrics registry. When set, the simulator registers
-  /// `ttdc_sim_*_total` counters and a `ttdc_sim_latency_slots` histogram
-  /// at construction and bumps them live on the hot path (one pre-resolved
-  /// relaxed atomic increment per event); leave null for zero overhead.
-  obs::MetricsRegistry* metrics = nullptr;
   /// Optional packet flight recorder (obs/flight_recorder.hpp): a bounded
   /// ring of per-packet lifecycle events (created -> enqueued ->
   /// head-of-line -> tx-attempt -> collided/delivered/dropped/expired),
@@ -134,9 +102,8 @@ struct SimConfig {
   /// invalidation source (arrival, fault event, battery death crossing,
   /// topology change, armed flight recorder). The knob is a no-op (engine
   /// stays disarmed) unless the MAC reports a fast_forward_period() and the
-  /// traffic source supports_lookahead(); it is also disarmed under
-  /// tracing or channel imperfections (per-slot rng draws make frames
-  /// unrepeatable).
+  /// traffic source supports_lookahead(); it is also disarmed under channel
+  /// imperfections (per-slot rng draws make frames unrepeatable).
   bool fast_forward = false;
 };
 
@@ -325,15 +292,6 @@ class Simulator {
     }
   }
 
-  /// Trace emission stays a single predictable branch (`tracing_`, fixed at
-  /// construction) when tracing is disabled; the std::function indirection
-  /// is only paid on the enabled path.
-  void trace(TraceEvent::Kind kind, std::size_t node, std::size_t peer,
-             std::uint64_t packet_id) {
-    if (!tracing_) return;
-    config_.trace(TraceEvent{kind, now_, node, peer, packet_id});
-  }
-
   /// Flight-recorder emission. Every hook site is guarded by `recording_`,
   /// which step() refreshes once per slot from the installed recorder and
   /// the process-wide arming flag (the contract documented on
@@ -357,28 +315,6 @@ class Simulator {
   /// the phase-2 intersection neighbors(y) AND transmitting_.
   void record_collision(std::size_t y, std::size_t x, std::uint64_t packet_id);
 
-  /// Live hot-path metric handles (all null when config.metrics is null).
-  struct HotMetrics {
-    obs::Counter* generated = nullptr;
-    obs::Counter* transmissions = nullptr;
-    obs::Counter* hop_successes = nullptr;
-    obs::Counter* delivered = nullptr;
-    obs::Counter* collisions = nullptr;
-    obs::Counter* receiver_asleep = nullptr;
-    obs::Counter* channel_losses = nullptr;
-    obs::Counter* sync_losses = nullptr;
-    obs::Counter* queue_drops = nullptr;
-    obs::Histogram* latency = nullptr;
-    // Registered only when a fault plan is armed (names stay absent from
-    // unarmed registries).
-    obs::Counter* fault_crashes = nullptr;
-    obs::Counter* fault_recoveries = nullptr;
-    obs::Counter* fault_battery_spikes = nullptr;
-    obs::Counter* fault_jam_bursts = nullptr;
-    obs::Counter* burst_losses = nullptr;
-    obs::Counter* drift_losses = nullptr;
-  };
-
   net::Graph graph_;
   MacProtocol& mac_;
   TrafficSource& traffic_;
@@ -390,8 +326,6 @@ class Simulator {
   const RoutingTable* routing_view_ = nullptr;
   std::vector<PacketQueue> queues_;
   SimStats stats_;
-  HotMetrics hot_;
-  bool tracing_ = false;
   bool recording_ = false;  // per-slot sample of (recorder installed && armed)
   std::uint64_t now_ = 0;
   std::uint64_t next_packet_id_ = 0;

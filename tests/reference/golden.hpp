@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
+#include <string>
 
+#include "obs/metrics.hpp"
 #include "reference_simulator.hpp"
 
 namespace ttdc::sim::golden {
@@ -36,6 +39,39 @@ inline void expect_identical_stats(const SimStats& a, const SimStats& b) {
   EXPECT_EQ(a.first_death_slot, b.first_death_slot);
   EXPECT_EQ(a.deaths, b.deaths);
   EXPECT_EQ(a.partial, b.partial);
+}
+
+/// The `<prefix>_*` gauges obs::publish_sim_stats() left in `registry`
+/// equal the counters of `stats`, fault counters included.
+inline void expect_registry_matches(const obs::MetricsRegistry& registry, const SimStats& stats,
+                                    const std::string& prefix = "ttdc_sim") {
+  std::map<std::string, double> gauges;
+  for (const obs::MetricSnapshot& m : registry.snapshot()) {
+    if (m.type == obs::MetricSnapshot::Type::kGauge) gauges[m.name] = m.gauge_value;
+  }
+  const auto expect = [&](const char* suffix, std::uint64_t value) {
+    const std::string name = prefix + suffix;
+    ASSERT_EQ(gauges.count(name), 1u) << name << " not published";
+    EXPECT_EQ(gauges[name], static_cast<double>(value)) << name;
+  };
+  expect("_slots_run", stats.slots_run);
+  expect("_generated", stats.generated);
+  expect("_delivered", stats.delivered);
+  expect("_transmissions", stats.transmissions);
+  expect("_hop_successes", stats.hop_successes);
+  expect("_collisions", stats.collisions);
+  expect("_receiver_asleep", stats.receiver_asleep);
+  expect("_channel_losses", stats.channel_losses);
+  expect("_sync_losses", stats.sync_losses);
+  expect("_queue_drops", stats.queue_drops);
+  expect("_deaths", stats.deaths);
+  expect("_fault_crashes", stats.fault_crashes);
+  expect("_fault_recoveries", stats.fault_recoveries);
+  expect("_fault_battery_spikes", stats.fault_battery_spikes);
+  expect("_fault_jam_bursts", stats.fault_jam_bursts);
+  expect("_burst_losses", stats.burst_losses);
+  expect("_drift_losses", stats.drift_losses);
+  expect("_latency_max_slots", stats.latency.max());
 }
 
 /// Runs `slots` slots of one world on simulator type Sim (Simulator or

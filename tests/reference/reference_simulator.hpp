@@ -26,8 +26,7 @@
 // Supported SimConfig fields: seed, queue_capacity, drop_unroutable,
 // packet_error_rate, sync_miss_rate, battery_mj, energy, fault_plan and
 // recorder (the flight recorder sees the simulator's exact event stream).
-// trace, metrics, shared_routing and fast_forward are ignored: they never
-// change SimStats.
+// shared_routing and fast_forward are ignored: they never change SimStats.
 #pragma once
 
 #include <cstddef>

@@ -1,5 +1,6 @@
 // Flight recorder: ring semantics, simulator wiring (golden-stats
-// invariance, interferer causality against ground truth), JSONL round-trip,
+// invariance, event counts rebuilding SimStats, packet lifecycle order,
+// interferer causality against ground truth), JSONL round-trip,
 // the FlightLog query API, truncated-ring self-consistency, the Perfetto
 // exporter's structural validity, and campaign outlier capture.
 //
@@ -55,6 +56,8 @@ struct Scenario {
   std::size_t degree = 3;
   net::Graph graph;
   core::Schedule duty;
+  double packet_error_rate = 0.0;
+  double sync_miss_rate = 0.0;
 
   explicit Scenario(std::size_t n = 30)
       : nodes(n), graph(make_graph(nodes, degree)),
@@ -69,16 +72,14 @@ struct Scenario {
   }
 
   template <typename Sim = sim::Simulator>
-  sim::SimStats run(std::uint64_t slots, FlightRecorder* recorder,
-                    std::vector<sim::TraceEvent>* trace = nullptr) const {
+  sim::SimStats run(std::uint64_t slots, FlightRecorder* recorder) const {
     sim::DutyCycledScheduleMac mac(duty);
     sim::BernoulliTraffic traffic(nodes, 0.02);
     sim::SimConfig config;
     config.seed = 9;
     config.recorder = recorder;
-    if (trace != nullptr) {
-      config.trace = [trace](const sim::TraceEvent& e) { trace->push_back(e); };
-    }
+    config.packet_error_rate = packet_error_rate;
+    config.sync_miss_rate = sync_miss_rate;
     Sim sim(graph, mac, traffic, config);
     sim.run(slots);
     return sim.stats();
@@ -152,21 +153,67 @@ TEST(FlightRecorderSim, DisarmedRecorderStaysEmptyAndGolden) {
 }
 
 TEST(FlightRecorderSim, EventCountsMatchSimStats) {
-  const Scenario sc;
+  // A lossy channel, so every per-transmission outcome occurs.
+  Scenario sc;
+  sc.packet_error_rate = 0.1;
+  sc.sync_miss_rate = 0.05;
   FlightRecorder ring(1 << 18);  // large enough: no eviction
   const sim::SimStats stats = sc.run(1500, &ring);
   ASSERT_FALSE(ring.wrapped());
+  ASSERT_GT(stats.channel_losses, 0u);
+  ASSERT_GT(stats.sync_losses, 0u);
+  ASSERT_GT(stats.delivered, 0u);
+  ASSERT_GT(stats.hop_successes, stats.delivered) << "scenario must forward multi-hop";
   std::map<FlightEvent::Kind, std::uint64_t> counts;
   for (const auto& e : ring.events()) ++counts[e.kind];
   EXPECT_EQ(counts[FlightEvent::Kind::kCreated], stats.generated);
   EXPECT_EQ(counts[FlightEvent::Kind::kTxAttempt], stats.transmissions);
   EXPECT_EQ(counts[FlightEvent::Kind::kCollided], stats.collisions);
   EXPECT_EQ(counts[FlightEvent::Kind::kDelivered], stats.delivered);
+  EXPECT_EQ(counts[FlightEvent::Kind::kHopDelivered] + counts[FlightEvent::Kind::kDelivered],
+            stats.hop_successes);
   EXPECT_EQ(counts[FlightEvent::Kind::kReceiverAsleep], stats.receiver_asleep);
   EXPECT_EQ(counts[FlightEvent::Kind::kChannelLoss], stats.channel_losses);
   EXPECT_EQ(counts[FlightEvent::Kind::kSyncLoss], stats.sync_losses);
   EXPECT_EQ(counts[FlightEvent::Kind::kDropped] + counts[FlightEvent::Kind::kExpired],
             stats.queue_drops);
+}
+
+TEST(FlightRecorderSim, PacketLifecycleIsOrdered) {
+  // One packet on a 2-node link, followed through its whole lifecycle:
+  // created -> enqueued -> head-of-line -> tx-attempt -> delivered, with
+  // one packet id and non-decreasing slots.
+  std::vector<util::DynamicBitset> t = {util::DynamicBitset(2, {0}), util::DynamicBitset(2)};
+  std::vector<util::DynamicBitset> r = {util::DynamicBitset(2, {1}),
+                                        util::DynamicBitset(2, {0, 1})};
+  const core::Schedule s(2, std::move(t), std::move(r));
+  sim::DutyCycledScheduleMac mac(s);
+  sim::Simulator* probe = nullptr;
+  sim::SaturatedFlows traffic({{0, 1}},
+                              [&probe](std::size_t v) { return probe->queue_size(v); });
+  FlightRecorder ring(64);
+  sim::SimConfig config;
+  config.seed = 2;
+  config.recorder = &ring;
+  sim::Simulator sim(net::path_graph(2), mac, traffic, config);
+  probe = &sim;
+  sim.run(2);  // one frame: generation + the single transmit slot
+
+  const auto events = ring.events();
+  using K = FlightEvent::Kind;
+  const std::vector<K> expected = {K::kCreated, K::kEnqueued, K::kHeadOfLine, K::kTxAttempt,
+                                   K::kDelivered};
+  ASSERT_GE(events.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(events[i].kind, expected[i]) << "event " << i;
+    EXPECT_EQ(events[i].packet_id, events[0].packet_id) << "event " << i;
+    if (i > 0) {
+      EXPECT_LE(events[i - 1].slot, events[i].slot);
+    }
+  }
+  EXPECT_EQ(events[4].node, 1u);  // delivered at the destination...
+  EXPECT_EQ(events[4].peer, 0u);  // ...from its origin
+  EXPECT_EQ(events[4].aux, events[4].slot - events[0].slot) << "latency rides on kDelivered";
 }
 
 TEST(FlightRecorderSim, CollisionInterferersMatchGroundTruth) {
@@ -222,6 +269,18 @@ TEST(FlightQuery, JsonlRoundTripIsExact) {
   EXPECT_TRUE(parsed.events == original);
 }
 
+TEST(FlightQuery, KindNamesRoundTrip) {
+  for (std::size_t i = 0; i < FlightEvent::kNumKinds; ++i) {
+    const auto kind = static_cast<FlightEvent::Kind>(i);
+    FlightEvent::Kind back{};
+    ASSERT_TRUE(obs::flight_kind_from_name(obs::flight_kind_name(kind), back))
+        << obs::flight_kind_name(kind);
+    EXPECT_EQ(back, kind);
+  }
+  FlightEvent::Kind unused{};
+  EXPECT_FALSE(obs::flight_kind_from_name("definitely_not_a_kind", unused));
+}
+
 TEST(FlightQuery, QueriesIdenticalOnReplayedStream) {
   const Scenario sc;
   FlightRecorder ring(1 << 18);
@@ -261,16 +320,21 @@ TEST(FlightQuery, QueriesIdenticalOnReplayedStream) {
 TEST(FlightQuery, WorstLatencyAndTopCollisionsMatchGroundTruth) {
   const Scenario sc;
   FlightRecorder ring(1 << 18);
-  std::vector<sim::TraceEvent> trace;  // independent event pipeline
-  sc.run(1500, &ring, &trace);
+  sc.run(1500, &ring);
   const FlightLog log(ring.events());
+  // Ground truth from an independent event source: the reference
+  // simulator's own ring, scanned by hand rather than through FlightLog.
+  FlightRecorder reference_ring(1 << 18);
+  sc.run<sim::ReferenceSimulator>(1500, &reference_ring);
+  ASSERT_FALSE(reference_ring.wrapped());
+  const std::vector<FlightEvent> truth_events = reference_ring.events();
 
-  // Ground-truth latencies from the trace pipeline: creation and final
-  // delivery slots per packet id.
+  // Ground-truth latencies: creation and final delivery slots per packet
+  // id (the slots, not the latency the kDelivered event carries).
   std::map<std::uint64_t, std::uint64_t> created, delivered_at;
-  for (const auto& t : trace) {
-    if (t.kind == sim::TraceEvent::Kind::kGenerated) created[t.packet_id] = t.slot;
-    if (t.kind == sim::TraceEvent::Kind::kFinalDelivered) delivered_at[t.packet_id] = t.slot;
+  for (const auto& t : truth_events) {
+    if (t.kind == FlightEvent::Kind::kCreated) created[t.packet_id] = t.slot;
+    if (t.kind == FlightEvent::Kind::kDelivered) delivered_at[t.packet_id] = t.slot;
   }
   std::vector<std::pair<std::uint64_t, std::uint64_t>> truth;  // (latency, id)
   for (const auto& [id, slot] : delivered_at) {
@@ -288,14 +352,15 @@ TEST(FlightQuery, WorstLatencyAndTopCollisionsMatchGroundTruth) {
     EXPECT_EQ(worst[i].packet_id, truth[i].second);
   }
 
-  // Ground-truth collision counts per receiver from the trace pipeline.
+  // Ground-truth collision counts per receiver.
   std::map<std::uint32_t, std::uint64_t> collisions_at;
-  for (const auto& t : trace) {
-    if (t.kind == sim::TraceEvent::Kind::kCollision) {
-      ++collisions_at[static_cast<std::uint32_t>(t.node)];
-    }
+  for (const auto& t : truth_events) {
+    if (t.kind == FlightEvent::Kind::kCollided) ++collisions_at[t.node];
   }
-  for (const auto& h : log.top_collisions(100)) {
+  const auto hotspots = log.top_collisions(100);
+  ASSERT_FALSE(hotspots.empty()) << "scenario must actually produce collisions";
+  EXPECT_EQ(hotspots.size(), collisions_at.size());
+  for (const auto& h : hotspots) {
     EXPECT_EQ(h.collisions, collisions_at.at(h.receiver));
   }
 }
@@ -408,7 +473,7 @@ TEST(Perfetto, ValidatorRejectsBrokenJson) {
   EXPECT_FALSE(obs::json_validate("{\"traceEvents\":[", &error));
   EXPECT_FALSE(obs::json_validate("{\"a\":1,}", &error));
   EXPECT_TRUE(obs::json_validate("{\"a\":[1,2,{\"b\":\"c\\\"d\"}]}", &error)) << error;
-  EXPECT_FALSE(obs::validate_trace_events("{\"notTraceEvents\":[]}").empty());
+  EXPECT_FALSE(obs::validate_trace_events("{\"otherEvents\":[]}").empty());
   EXPECT_FALSE(obs::validate_trace_events("{\"traceEvents\":[{\"ph\":\"X\"}]}").empty())
       << "event without a name must be flagged";
 }

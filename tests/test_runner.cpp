@@ -1,17 +1,24 @@
 // Campaign runner: deterministic seed derivation, shared artifact caches,
-// order-independent aggregation, and the trace-sink guard.
+// order-independent aggregation, per-cell flight rings dumped in cell
+// order, and the campaign metrics registry reading
+// exactly the aggregate under retries, quarantine and resume.
 #include "runner/runner.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "combinatorics/constructions.hpp"
 #include "core/builders.hpp"
 #include "core/tradeoff.hpp"
+#include "golden.hpp"
 #include "net/topology.hpp"
+#include "obs/flight_query.hpp"
+#include "obs/metrics.hpp"
 #include "sim/mac.hpp"
 #include "sim/simulator.hpp"
 #include "sim/traffic.hpp"
@@ -50,7 +57,6 @@ CellFn sim_cell(std::size_t rows, std::size_t cols, double rate, std::uint64_t s
     sim::SimConfig cfg;
     cfg.seed = ctx.seed();
     cfg.shared_routing = routing.get();
-    cfg.metrics = ctx.metrics();
     sim::Simulator sim(g, mac, traffic, cfg);
     sim.run(slots);
     ctx.record(sim.stats());
@@ -154,26 +160,116 @@ TEST(CampaignRunner, SetGraphRevertsToInternalRouting) {
 }
 
 TEST(CampaignRunner, TraceEventsReplayInCellIndexOrder) {
+  // Each cell records three flight events tagged with its index via
+  // packet_id into its private ring; at the barrier the rings are dumped
+  // in cell-index order, whatever order the workers finished in.
   CampaignOptions opts;
   opts.master_seed = 5;
   opts.num_workers = 4;
-  std::vector<std::uint64_t> packet_cell_tags;
-  opts.trace = [&](const sim::TraceEvent& e) { packet_cell_tags.push_back(e.packet_id); };
+  FlightCaptureOptions capture;
+  capture.ring_capacity = 8;
+  capture.dir = ::testing::TempDir();
+  capture.min_delivery_ratio = 1.0;  // a cell that delivers nothing trips it
+  capture.max_dumps = 5;
+  opts.flight_capture = capture;
   Campaign c(opts);
-  // Each cell emits three events tagged with its index via packet_id.
   for (std::uint64_t i = 0; i < 5; ++i) {
     c.add(cell_name("t", i), [i](CellContext& ctx) {
-      auto emit = ctx.trace_fn();
-      for (int k = 0; k < 3; ++k) {
-        emit(sim::TraceEvent{sim::TraceEvent::Kind::kGenerated, 0, 0, 0, i});
-      }
+      obs::FlightEvent e;
+      e.packet_id = i;
+      for (int k = 0; k < 3; ++k) ctx.flight_recorder()->record(e);
     });
   }
-  (void)c.run();
+  const CampaignResult r = c.run();
+  ASSERT_EQ(r.flight_dumps.size(), 5u);
+  std::vector<std::uint64_t> packet_cell_tags;
+  for (std::size_t d = 0; d < r.flight_dumps.size(); ++d) {
+    EXPECT_EQ(r.flight_dumps[d].cell_index, d);
+    const obs::FlightParseResult parsed = obs::read_flight_jsonl_file(r.flight_dumps[d].path);
+    std::remove(r.flight_dumps[d].path.c_str());
+    EXPECT_TRUE(parsed.errors.empty());
+    for (const auto& e : parsed.events) packet_cell_tags.push_back(e.packet_id);
+  }
   ASSERT_EQ(packet_cell_tags.size(), 15u);
   for (std::size_t k = 0; k < packet_cell_tags.size(); ++k) {
     EXPECT_EQ(packet_cell_tags[k], k / 3) << "event " << k;
   }
+}
+
+// The campaign registry is published once from the merged aggregate, so
+// it must read exactly CampaignResult::aggregate — also where the
+// aggregate discards work a cell did (a failed attempt, a quarantined
+// cell) or adds work no cell did in this run (cells restored from the
+// journal).
+ResilienceOptions fast_resilience(int max_attempts) {
+  ResilienceOptions res;
+  res.max_attempts = max_attempts;
+  res.backoff_base_seconds = 0.0;
+  return res;
+}
+
+TEST(CampaignRunner, RegistryEqualsAggregateWhenAFailedAttemptIsRetried) {
+  CampaignOptions opts;
+  opts.master_seed = 0xF1A;
+  opts.num_workers = 2;
+  opts.resilience = fast_resilience(3);
+  obs::MetricsRegistry registry;
+  opts.metrics = &registry;
+  Campaign c(opts);
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    c.add(cell_name("flaky", i), [i](CellContext& ctx) {
+      sim_cell(4, 4, 0.08, 300)(ctx);  // the failed attempt did simulate
+      if (i == 1 && ctx.attempt() == 1) throw std::runtime_error("fails after simulating");
+    });
+  }
+  const CampaignResult r = c.run();
+  ASSERT_TRUE(r.quarantined.empty());
+  EXPECT_EQ(r.cells[1].attempts, 2u);
+  EXPECT_EQ(r.aggregate.slots_run, 4u * 300u);
+  sim::golden::expect_registry_matches(registry, r.aggregate);
+}
+
+TEST(CampaignRunner, RegistryEqualsAggregateWithAQuarantinedCell) {
+  CampaignOptions opts;
+  opts.master_seed = 0xF1B;
+  opts.resilience = fast_resilience(2);
+  obs::MetricsRegistry registry;
+  opts.metrics = &registry;
+  Campaign c(opts);
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    c.add(cell_name("doomed", i), [i](CellContext& ctx) {
+      sim_cell(4, 4, 0.08, 300)(ctx);
+      if (i == 2) throw std::runtime_error("fails after simulating, every attempt");
+    });
+  }
+  const CampaignResult r = c.run_serial();
+  ASSERT_EQ(r.quarantined, std::vector<std::size_t>{2});
+  EXPECT_TRUE(r.aggregate.partial);
+  EXPECT_EQ(r.aggregate.slots_run, 2u * 300u);
+  sim::golden::expect_registry_matches(registry, r.aggregate);
+}
+
+TEST(CampaignRunner, RegistryEqualsAggregateWhenResumedFromTheJournal) {
+  const std::string path = ::testing::TempDir() + "ttdc_registry_resume.journal";
+  const auto journaled = [&](bool resume, obs::MetricsRegistry* registry) {
+    CampaignOptions opts;
+    opts.master_seed = 0xF1C;
+    opts.resilience = fast_resilience(1);
+    opts.resilience->journal_path = path;
+    opts.resilience->resume = resume;
+    opts.metrics = registry;
+    Campaign c(opts);
+    for (std::uint64_t i = 0; i < 3; ++i) c.add(cell_name("j", i), sim_cell(4, 4, 0.08, 300));
+    return c.run_serial();
+  };
+  const CampaignResult first = journaled(false, nullptr);
+  obs::MetricsRegistry registry;
+  const CampaignResult resumed = journaled(true, &registry);
+  std::remove(path.c_str());
+  ASSERT_EQ(resumed.resumed_cells, 3u);
+  EXPECT_EQ(resumed.aggregate_json(), first.aggregate_json());
+  ASSERT_GT(resumed.aggregate.delivered, 0u);
+  sim::golden::expect_registry_matches(registry, resumed.aggregate);
 }
 
 TEST(CampaignRunner, CellsMayUseParallelHelpersReentrantly) {
