@@ -10,10 +10,9 @@
 //     frame (saturating arrivals veto each boundary) must cost within 2%
 //     of the flag-off run — the boundary probe is the entire toll.
 //
-// Rates are the MAX over interleaved reps (the bench_megascale idiom): on
-// a shared box, co-tenant interference only ever slows a rep down, so the
-// max estimates the uncontended rate and the ratio of maxes the
-// uncontended speedup.
+// Both gates interleave the two runs in rounds (bench/harness.hpp) and
+// decide on the median per-round ratio; rates are per-round medians, and
+// every gated quantity is reported with its quartiles.
 //
 // Emits BENCH_fastforward.json; fastforward_speedup is regression-gated by
 // scripts/run_benches.sh --perf-check.
@@ -26,13 +25,12 @@
 #include <cstddef>
 #include <cstring>
 #include <iostream>
-#include <string>
-#include <vector>
 
 #include "combinatorics/constructions.hpp"
 #include "combinatorics/params.hpp"
 #include "core/builders.hpp"
 #include "core/construct.hpp"
+#include "harness.hpp"
 #include "net/domain_grid.hpp"
 #include "net/topology.hpp"
 #include "obs/report.hpp"
@@ -108,28 +106,11 @@ RunResult run_once(const World& world, bool fast_forward, double rate,
           static_cast<double>(timed) / secs};
 }
 
-/// Golden tripwire before timing anything: the replay engine must count
-/// the same world as slot-accurate stepping, bit for bit. (The full
-/// cross-MAC matrix lives in tests/test_fastforward.cpp.)
-bool stats_agree(const sim::SimStats& a, const sim::SimStats& b) {
-  return a.slots_run == b.slots_run && a.generated == b.generated &&
-         a.delivered == b.delivered && a.hop_successes == b.hop_successes &&
-         a.transmissions == b.transmissions && a.collisions == b.collisions &&
-         a.receiver_asleep == b.receiver_asleep &&
-         a.queue_drops == b.queue_drops &&
-         a.latency.count() == b.latency.count() &&
-         a.latency.samples() == b.latency.samples() &&
-         a.state_slots == b.state_slots &&
-         a.delivered_by_origin == b.delivered_by_origin &&
-         a.wake_transitions == b.wake_transitions &&
-         a.first_death_slot == b.first_death_slot && a.deaths == b.deaths;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
-  const int pairs = smoke ? 3 : 5;
+  const int rounds = smoke ? 3 : 5;
   const World world = make_world(kN);
   const std::uint64_t period = world.schedule.frame_length();
   // Warmup covers the memo's boundary-state cycle (the schedule rotation
@@ -137,12 +118,10 @@ int main(int argc, char** argv) {
   // one slot-accurate recording before replays begin).
   const std::uint64_t warmup = 12 * period;
   const std::uint64_t timed = (smoke ? 30 : 600) * period;
-  // The overhead gate compares two nearly equal rates, so its reps need to
-  // be long enough (and numerous enough) that each side catches a quiet
-  // stretch on a shared box — the ratio-of-maxes estimator only needs one
-  // uncontended rep per side, but a 2% gate leaves little room for noise.
+  // The overhead gate compares two nearly equal rates, so its runs are long
+  // and its rounds numerous: a 2% gate leaves little room for noise.
   const std::uint64_t overhead_timed = (smoke ? 20 : 300) * period;
-  const int overhead_pairs = smoke ? 3 : 7;
+  const int overhead_rounds = smoke ? 3 : 17;
 
   obs::BenchReport report("fastforward");
   report.param("n", static_cast<std::int64_t>(kN));
@@ -151,7 +130,8 @@ int main(int argc, char** argv) {
   report.param("traffic", "lookahead_convergecast");
   report.param("sparse_gap_frames", kSparseGapFrames);
   report.param("battery_mj", kBatteryMj);
-  report.param("pairs", static_cast<std::int64_t>(pairs));
+  report.param("rounds", static_cast<std::int64_t>(rounds));
+  report.param("overhead_rounds", static_cast<std::int64_t>(overhead_rounds));
   report.param("warmup_slots", static_cast<std::int64_t>(warmup));
   report.param("timed_slots", static_cast<std::int64_t>(timed));
   report.param("gate_speedup", kGateSpeedup);
@@ -162,11 +142,14 @@ int main(int argc, char** argv) {
   const double sparse_rate =
       per_node_rate(kSparseGapFrames * static_cast<double>(period));
 
-  // Golden tripwire on the exact timed workload (warmup + timed window).
+  // Golden tripwire on the exact timed workload (warmup + timed window):
+  // the replay engine must count the same world as slot-accurate stepping,
+  // bit for bit. (The full cross-MAC matrix lives in
+  // tests/test_fastforward.cpp.)
   {
     const RunResult off = run_once(world, false, sparse_rate, warmup, timed);
     const RunResult on = run_once(world, true, sparse_rate, warmup, timed);
-    if (!stats_agree(off.stats, on.stats)) {
+    if (off.stats != on.stats) {
       std::cout << "GOLDEN MISMATCH: fast-forward changed the stats\n";
       ok = false;
     }
@@ -185,23 +168,25 @@ int main(int argc, char** argv) {
     report.metric("frames_recorded", static_cast<double>(on.ff.frames_recorded));
   }
 
-  // Speedup gate: sparse traffic, FF on vs off, max-paired rates.
+  // One timed run as a harness arm.
+  const auto arm = [&world, warmup](bool fast_forward, double arrival_rate,
+                                    std::uint64_t slots) {
+    return [&world, warmup, fast_forward, arrival_rate, slots] {
+      return run_once(world, fast_forward, arrival_rate, warmup, slots).slots_per_sec;
+    };
+  };
+
+  // Speedup gate: sparse traffic, FF on vs off.
   double speedup = 0.0;
   if (ok) {
-    std::vector<double> on_rates, off_rates;
-    run_once(world, true, sparse_rate, warmup, timed);  // warm caches, untimed
-    for (int rep = 0; rep < pairs; ++rep) {
-      off_rates.push_back(run_once(world, false, sparse_rate, warmup, timed).slots_per_sec);
-      on_rates.push_back(run_once(world, true, sparse_rate, warmup, timed).slots_per_sec);
-    }
-    const double off = *std::max_element(off_rates.begin(), off_rates.end());
-    const double on = *std::max_element(on_rates.begin(), on_rates.end());
-    speedup = on / off;
-    std::cout << "sparse: off " << off << " slots/s, on " << on << " slots/s, speedup "
-              << speedup << "x\n";
-    report.metric("off_slots_per_sec", off);
-    report.metric("on_slots_per_sec", on);
-    report.metric("fastforward_speedup", speedup);
+    const auto results = bench::interleave(
+        rounds, {arm(false, sparse_rate, timed), arm(true, sparse_rate, timed)});
+    speedup = results[1].ratio.median;
+    std::cout << "sparse: off " << results[0].rate << " slots/s, on " << results[1].rate
+              << " slots/s, speedup " << results[1].ratio << "x\n";
+    bench::write(report, "off_slots_per_sec", results[0].rate);
+    bench::write(report, "on_slots_per_sec", results[1].rate);
+    bench::write(report, "fastforward_speedup", results[1].ratio);
   }
 
   // Overhead gate: saturating arrivals veto every frame boundary, so the
@@ -218,21 +203,16 @@ int main(int argc, char** argv) {
       std::cout << "OVERHEAD WORKLOAD LEAKED REPLAYS: " << probe.ff.frames_replayed << "\n";
       ok = false;
     }
-    std::vector<double> armed_rates, off_rates;
-    for (int rep = 0; rep < overhead_pairs; ++rep) {
-      off_rates.push_back(
-          run_once(world, false, dense_rate, warmup, overhead_timed).slots_per_sec);
-      armed_rates.push_back(
-          run_once(world, true, dense_rate, warmup, overhead_timed).slots_per_sec);
-    }
-    const double off = *std::max_element(off_rates.begin(), off_rates.end());
-    const double armed = *std::max_element(armed_rates.begin(), armed_rates.end());
-    overhead = off > armed ? off / armed - 1.0 : 0.0;
-    std::cout << "fallback-every-frame: off " << off << " slots/s, armed " << armed
-              << " slots/s, overhead " << overhead * 100.0 << "%\n";
-    report.metric("armed_fallback_slots_per_sec", armed);
-    report.metric("flag_off_slots_per_sec", off);
-    report.metric("disarmed_overhead", overhead);
+    const auto results = bench::interleave(
+        overhead_rounds,
+        {arm(false, dense_rate, overhead_timed), arm(true, dense_rate, overhead_timed)});
+    const bench::Spread cost = bench::overhead(results[1].ratio);
+    overhead = cost.median;
+    std::cout << "fallback-every-frame: off " << results[0].rate << " slots/s, armed "
+              << results[1].rate << " slots/s, overhead " << cost << "\n";
+    bench::write(report, "armed_fallback_slots_per_sec", results[1].rate);
+    bench::write(report, "flag_off_slots_per_sec", results[0].rate);
+    bench::write(report, "disarmed_overhead", cost);
   }
 
   const bool speedup_ok = speedup >= kGateSpeedup;

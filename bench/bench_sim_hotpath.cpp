@@ -19,6 +19,7 @@
 #include "combinatorics/params.hpp"
 #include "core/builders.hpp"
 #include "core/construct.hpp"
+#include "harness.hpp"
 #include "net/topology.hpp"
 #include "obs/report.hpp"
 #include "reference_simulator.hpp"
@@ -31,7 +32,7 @@ namespace {
 using namespace ttdc;
 
 constexpr std::uint64_t kWarmup = 2000;
-constexpr int kPairs = 9;
+constexpr int kRounds = 9;
 constexpr double kGateN = 400;
 constexpr double kGateSpeedup = 3.0;
 
@@ -56,7 +57,7 @@ int main() {
   obs::BenchReport report("sim_hotpath");
   report.param("mac", "DutyCycledScheduleMac");
   report.param("traffic", "bernoulli_0.01");
-  report.param("pairs", static_cast<std::int64_t>(kPairs));
+  report.param("rounds", static_cast<std::int64_t>(kRounds));
   report.param("warmup_slots", static_cast<std::int64_t>(kWarmup));
   report.param("gate_n", static_cast<std::int64_t>(kGateN));
   report.param("gate_speedup", kGateSpeedup);
@@ -71,31 +72,19 @@ int main() {
     const core::Schedule duty = core::construct_duty_cycled(
         core::non_sleeping_from_family(comb::build_plan(comb::best_plan(n, 4), n)), 4, 4,
         n / 3);
-    // Back-to-back reference/pipeline pairs scored by the median per-pair
-    // ratio: pairing cancels clock drift, the median discards load spikes
-    // (same methodology as the ring-sink budget in bench_scalability).
-    std::vector<double> ratios, reference_rates, pipeline_rates;
-    slot_rate_once<sim::Simulator>(g, duty);  // shared warmup rep, untimed
-    for (int rep = 0; rep < kPairs; ++rep) {
-      const double r = slot_rate_once<sim::ReferenceSimulator>(g, duty);
-      const double p = slot_rate_once<sim::Simulator>(g, duty);
-      reference_rates.push_back(r);
-      pipeline_rates.push_back(p);
-      ratios.push_back(p / r);
-    }
-    std::nth_element(ratios.begin(), ratios.begin() + kPairs / 2, ratios.end());
-    const double speedup = ratios[kPairs / 2];
-    const double reference = *std::max_element(reference_rates.begin(), reference_rates.end());
-    const double pipeline = *std::max_element(pipeline_rates.begin(), pipeline_rates.end());
-    std::cout << "  " << n << "  " << reference << "  " << pipeline << "  " << speedup
-              << "x\n";
+    const auto results = bench::interleave(
+        kRounds, {[&] { return slot_rate_once<sim::ReferenceSimulator>(g, duty); },
+                  [&] { return slot_rate_once<sim::Simulator>(g, duty); }});
+    const double speedup = results[1].ratio.median;
+    std::cout << "  " << n << "  " << results[0].rate.median << "  "
+              << results[1].rate.median << "  " << results[1].ratio << "x\n";
     std::string key = "n";
     key += std::to_string(n);
-    report.metric(key + "_reference_slots_per_sec", reference);
-    report.metric(key + "_pipeline_slots_per_sec", pipeline);
+    bench::write(report, key + "_reference_slots_per_sec", results[0].rate);
+    bench::write(report, key + "_pipeline_slots_per_sec", results[1].rate);
     // The extended ladder rows (n > 800) are informational only: no
     // *_speedup key, so --perf-check never gates them.
-    if (n <= 800) report.metric(key + "_speedup", speedup);
+    if (n <= 800) bench::write(report, key + "_speedup", results[1].ratio);
     if (static_cast<double>(n) == kGateN) {
       gate_speedup = speedup;
       gate_ok = speedup >= kGateSpeedup;

@@ -8,8 +8,9 @@ is between the two most recent bench/history/<sha>/ archives written by
 scripts/run_benches.sh (newest vs previous: the actual run-to-run trend).
 A metric is flagged only when it leaves the noise band (default +/-10%);
 *_speedup and *_slots_per_sec metrics are treated as higher-is-better,
-*_seconds and *_overhead* as lower-is-better, everything else is reported
-informationally.
+*_seconds and *_overhead* as lower-is-better, everything else (the
+*_q1/*_q3 quartiles bench/harness.hpp writes beside each median included)
+is reported informationally.
 
 Missing inputs are never a traceback: fewer than two history snapshots, a
 bench present in one snapshot but not the other, or an unreadable report
@@ -52,6 +53,8 @@ def history_runs():
 
 def classify(key):
     """Returns (direction, gated): +1 higher-is-better, -1 lower, 0 info."""
+    if key.endswith("_q1") or key.endswith("_q3"):
+        return 0, False
     if key.endswith("_speedup") or key.endswith("_slots_per_sec"):
         return 1, True
     if key.endswith("_seconds") or "_overhead" in key:

@@ -7,16 +7,17 @@
 # Usage: scripts/run_benches.sh [--perf-check] [--jobs N] [build-dir]
 #   TTDC_BENCH_DIR  overrides where reports are written (default: repo root)
 #
-# --jobs N: run up to N bench binaries concurrently. Each bench writes its
-# report into a private temp directory (so concurrent benches never race on
-# the same BENCH_*.json) and the reports are moved into TTDC_BENCH_DIR once
-# the bench exits; logs are replayed in the binaries' name order, so the
-# combined output is stable regardless of completion order.
+# --jobs N: run up to N untimed bench binaries concurrently. Each bench
+# writes its report into a private temp directory (so concurrent benches
+# never race on the same BENCH_*.json) and the reports are moved into
+# TTDC_BENCH_DIR once the bench exits; logs are replayed in the binaries'
+# name order, so the combined output is stable regardless of completion
+# order. The TIMED_BENCHES hold wall-clock gates that a concurrent
+# neighbour would perturb, so they always run one at a time, after the
+# concurrent batch.
 #
-# --perf-check: runs only the perf-gated benches (bench_sim_hotpath,
-# bench_campaign, bench_fault_resilience, bench_megascale,
-# bench_fastforward) and compares
-# them against the committed baselines
+# --perf-check: runs only the TIMED_BENCHES and compares them against the
+# committed baselines
 # (bench/baselines/), failing on a >25% regression of any *_speedup metric.
 # The speedups are gated because the paired measurement cancels machine
 # load and clock drift; absolute slots/sec are printed for context but not
@@ -35,6 +36,18 @@ while [ $# -gt 0 ]; do
     *) break ;;
   esac
 done
+
+# The benches that time themselves against a wall-clock gate.
+TIMED_BENCHES=(bench_sim_hotpath bench_megascale bench_fastforward bench_fault_resilience
+               bench_obs_recorder bench_campaign)
+
+is_timed() {
+  local t
+  for t in "${TIMED_BENCHES[@]}"; do
+    [ "$t" = "$1" ] && return 0
+  done
+  return 1
+}
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 build_dir="${1:-$repo_root/build}"
@@ -119,13 +132,11 @@ EOF
 }
 
 if [ "$perf_check" -eq 1 ]; then
-  cmake --build "$build_dir" -j "$(nproc)" --target bench_sim_hotpath bench_campaign \
-    bench_fault_resilience bench_megascale bench_fastforward
+  cmake --build "$build_dir" -j "$(nproc)" --target "${TIMED_BENCHES[@]}"
   status=0
-  for spec in "bench_sim_hotpath:" "bench_campaign:--perf-check" "bench_fault_resilience:" \
-              "bench_megascale:" "bench_fastforward:"; do
-    name="${spec%%:*}"
-    flag="${spec#*:}"
+  for name in "${TIMED_BENCHES[@]}"; do
+    flag=""
+    [ "$name" = bench_campaign ] && flag="--perf-check"
     echo "=== $name (perf check) ==="
     report="$bench_dir/BENCH_${name#bench_}.json"
     baseline="$repo_root/bench/baselines/BENCH_${name#bench_}.baseline.json"
@@ -145,18 +156,26 @@ fi
 cmake --build "$build_dir" -j "$(nproc)"
 
 bins=()
+timed=()
 for bin in "$build_dir"/bench/bench_*; do
   [ -f "$bin" ] && [ -x "$bin" ] || continue
-  bins+=("$bin")
+  if is_timed "$(basename "$bin")"; then
+    timed+=("$bin")
+  else
+    bins+=("$bin")
+  fi
 done
-if [ "${#bins[@]}" -eq 0 ]; then
+if [ $((${#bins[@]} + ${#timed[@]})) -eq 0 ]; then
   echo "no bench binaries found under $build_dir/bench" >&2
   exit 1
 fi
 
 status=0
-if [ "$jobs" -le 1 ]; then
-  for bin in "${bins[@]}"; do
+# run_serial <bin>...: runs each bench in turn, reports straight into
+# TTDC_BENCH_DIR.
+run_serial() {
+  local bin name report
+  for bin in "$@"; do
     name="$(basename "$bin")"
     echo
     echo "=== $name ==="
@@ -170,6 +189,10 @@ if [ "$jobs" -le 1 ]; then
       status=1
     fi
   done
+}
+
+if [ "$jobs" -le 1 ]; then
+  run_serial "${bins[@]}"
 else
   scratch="$(mktemp -d)"
   for bin in "${bins[@]}"; do
@@ -210,9 +233,11 @@ else
     fi
   done
 fi
+# The wall-clock gates run alone, after the concurrent batch has drained.
+run_serial "${timed[@]}"
 
 echo
-echo "ran ${#bins[@]} benches; reports in $bench_dir:"
+echo "ran $((${#bins[@]} + ${#timed[@]})) benches; reports in $bench_dir:"
 ls -1 "$bench_dir"/BENCH_*.json 2>/dev/null || true
 
 # The EXIT trap (archive_reports) copies this run's reports into

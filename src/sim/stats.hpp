@@ -48,6 +48,10 @@ class LatencyStats {
   /// percentile() reorders them in place, so serialize before querying.
   [[nodiscard]] const std::vector<std::uint64_t>& samples() const { return samples_; }
 
+  /// Equal when the samples are equal in stored order. percentile()
+  /// reorders them in place, so compare before querying.
+  bool operator==(const LatencyStats&) const = default;
+
  private:
   // mutable: percentile() reorders (never resizes) the samples in place.
   mutable std::vector<std::uint64_t> samples_;
@@ -121,6 +125,11 @@ struct SimStats {
   /// shard — the property the campaign runner's lock-free accumulation
   /// depends on.
   void merge(const SimStats& other);
+
+  /// Every field equal, latency samples in stored order (see
+  /// LatencyStats::operator==): the bit-identity contract that golden tests
+  /// and bench tripwires check.
+  bool operator==(const SimStats&) const = default;
 
   [[nodiscard]] std::string summary(const EnergyModel& model) const;
 };

@@ -39,6 +39,8 @@ inline void expect_identical_stats(const SimStats& a, const SimStats& b) {
   EXPECT_EQ(a.first_death_slot, b.first_death_slot);
   EXPECT_EQ(a.deaths, b.deaths);
   EXPECT_EQ(a.partial, b.partial);
+  // Catches a field added to SimStats after the list above was written.
+  EXPECT_TRUE(a == b);
 }
 
 /// The `<prefix>_*` gauges obs::publish_sim_stats() left in `registry`

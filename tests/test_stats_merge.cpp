@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "sim/stats.hpp"
@@ -190,6 +191,52 @@ TEST(SimStatsMerge, MergeIsAssociativeOnCounters) {
   EXPECT_EQ(left.latency.max(), right.latency.max());
   EXPECT_EQ(left.first_death_slot, right.first_death_slot);
   EXPECT_EQ(left.state_slots, right.state_slots);
+}
+
+// operator== is the bit-identity contract: a change to any one field,
+// latency sample order included, makes two stats unequal.
+TEST(SimStatsEquality, EveryFieldTakesPart) {
+  const SimStats base = make_stats(5, 3);
+  EXPECT_TRUE(base == make_stats(5, 3));
+  const std::vector<std::function<void(SimStats&)>> perturb = {
+      [](SimStats& s) { ++s.slots_run; },
+      [](SimStats& s) { ++s.generated; },
+      [](SimStats& s) { ++s.delivered; },
+      [](SimStats& s) { ++s.hop_successes; },
+      [](SimStats& s) { ++s.transmissions; },
+      [](SimStats& s) { ++s.collisions; },
+      [](SimStats& s) { ++s.receiver_asleep; },
+      [](SimStats& s) { ++s.channel_losses; },
+      [](SimStats& s) { ++s.sync_losses; },
+      [](SimStats& s) { ++s.queue_drops; },
+      [](SimStats& s) { s.latency.record(1); },
+      [](SimStats& s) {
+        // Same multiset, different stored order.
+        LatencyStats reversed;
+        for (auto it = s.latency.samples().rbegin(); it != s.latency.samples().rend(); ++it) {
+          reversed.record(*it);
+        }
+        s.latency = reversed;
+      },
+      [](SimStats& s) { ++s.state_slots[1][2]; },
+      [](SimStats& s) { ++s.delivered_by_origin[2]; },
+      [](SimStats& s) { ++s.wake_transitions[0]; },
+      [](SimStats& s) { s.first_death_slot = 17; },
+      [](SimStats& s) { ++s.deaths; },
+      [](SimStats& s) { ++s.fault_crashes; },
+      [](SimStats& s) { ++s.fault_recoveries; },
+      [](SimStats& s) { ++s.fault_battery_spikes; },
+      [](SimStats& s) { ++s.fault_jam_bursts; },
+      [](SimStats& s) { ++s.burst_losses; },
+      [](SimStats& s) { ++s.drift_losses; },
+      [](SimStats& s) { s.partial = true; },
+  };
+  for (std::size_t i = 0; i < perturb.size(); ++i) {
+    SimStats changed = base;
+    perturb[i](changed);
+    EXPECT_FALSE(base == changed) << "perturbation " << i;
+    EXPECT_TRUE(base != changed) << "perturbation " << i;
+  }
 }
 
 }  // namespace
