@@ -3,15 +3,18 @@
 // on multi-core hosts.
 //
 // A replicated convergecast study (three TT schedule variants x several
-// SplitMix64-derived seed replicas on a 5x5 grid) runs twice: once through
-// Campaign::run_serial() and once through the work-stealing worker pool.
-// The aggregate JSON of both runs is compared byte for byte -- this is the
+// SplitMix64-derived seed replicas on a 5x5 grid) runs through
+// Campaign::run_serial() and through the work-stealing worker pool, as the
+// two arms of bench::interleave (bench/harness.hpp): one untimed run of
+// each, then rounds with the first arm rotating. Every run's aggregate JSON
+// is compared byte for byte with the first serial run's -- this is the
 // determinism contract of DESIGN.md §10 (child seeds are a function of
 // (master_seed, cell_index) only; merges fold in cell-index order).
 //
 // Flags:
 //   --smoke       reduced cell grid and no speedup gate (CI on small runners)
-//   --perf-check  gate: parallel >= 3x serial wall-clock when >= 4 cores
+//   --perf-check  gate: median per-round parallel/serial cell rate >= 3x
+//                 when >= 4 cores
 //
 // The aggregate-equality gate always applies. The committed baseline for
 // scripts/run_benches.sh --perf-check lives in
@@ -20,6 +23,8 @@
 #include <cstring>
 #include <iostream>
 #include <string>
+
+#include "harness.hpp"
 
 #include "combinatorics/constructions.hpp"
 #include "core/builders.hpp"
@@ -43,13 +48,17 @@ int main(int argc, char** argv) {
   constexpr std::size_t kRows = 5, kCols = 5, kN = kRows * kCols, kD = 4, kSink = 0;
   constexpr double kRate = 0.003;
   const std::uint64_t slots = smoke ? 3000 : 20000;
-  const std::size_t replicas = smoke ? 2 : 8;
+  // 64 replicas = 192 cells: a serial run takes about 0.8 s and a
+  // parallel one well past 0.2 s on 4 cores.
+  const std::size_t replicas = smoke ? 2 : 64;
+  const int rounds = smoke ? 1 : 5;
 
   obs::BenchReport report("campaign");
   report.param("grid", "5x5");
   report.param("rate_per_node_per_slot", kRate);
   report.param("slots", static_cast<std::int64_t>(slots));
   report.param("replicas", static_cast<std::int64_t>(replicas));
+  report.param("rounds", rounds);
   report.param("smoke", smoke ? 1 : 0);
   util::print_banner("E23 / campaign engine: parallel == serial, and faster",
                      {{"grid", "5x5"},
@@ -101,25 +110,40 @@ int main(int argc, char** argv) {
     return campaign;
   };
 
-  // Serial reference first (pays the artifact builds), then the pool.
-  runner::Campaign serial_campaign = build_campaign();
-  const runner::CampaignResult serial = serial_campaign.run_serial();
-  runner::Campaign parallel_campaign = build_campaign();
-  const runner::CampaignResult parallel = parallel_campaign.run();
-
-  const bool equal = serial.aggregate_json() == parallel.aggregate_json();
-  const double speedup = parallel.elapsed_seconds > 0.0
-                             ? serial.elapsed_seconds / parallel.elapsed_seconds
-                             : 0.0;
+  // Each arm runs a fresh campaign (paying its own artifact builds) and
+  // returns its cell rate. The first serial run's aggregate is the one
+  // every run must reproduce.
+  std::string reference_json;
+  bool equal = true;
+  runner::CampaignResult parallel;
+  std::size_t artifact_hits = 0, artifact_misses = 0;
+  const auto arm = [&](bool serial) {
+    return [&, serial] {
+      runner::Campaign campaign = build_campaign();
+      runner::CampaignResult result = serial ? campaign.run_serial() : campaign.run();
+      const std::string json = result.aggregate_json();
+      if (reference_json.empty()) reference_json = json;
+      equal = equal && json == reference_json;
+      const double rate = static_cast<double>(result.cells.size()) / result.elapsed_seconds;
+      if (!serial) {
+        artifact_hits = campaign.artifacts().hits();
+        artifact_misses = campaign.artifacts().misses();
+        parallel = std::move(result);
+      }
+      return rate;
+    };
+  };
+  const auto arms = bench::interleave(rounds, {arm(true), arm(false)});
+  const bench::Spread& speedup = arms[1].ratio;
   const int cores = util::hardware_parallelism();
   const bool gate_speedup = perf_check && !smoke && cores >= 4;
-  const bool speedup_ok = !gate_speedup || speedup >= 3.0;
+  const bool speedup_ok = !gate_speedup || speedup.median >= 3.0;
 
-  std::cout << serial.cells.size() << " cells, " << parallel.workers << " workers ("
-            << cores << " cores)\n"
-            << "serial   " << serial.elapsed_seconds << " s\n"
-            << "parallel " << parallel.elapsed_seconds << " s  (speedup " << speedup
-            << "x)\n"
+  std::cout << parallel.cells.size() << " cells, " << parallel.workers << " workers ("
+            << cores << " cores), " << rounds << " rounds; median [q1, q3]\n"
+            << "serial   " << arms[0].rate << " cells/s\n"
+            << "parallel " << arms[1].rate << " cells/s\n"
+            << "speedup  " << speedup << "x\n"
             << "aggregate equality (bit-identical JSON): "
             << (equal ? "CONFIRMED" : "FAILED") << "\n";
   if (gate_speedup) {
@@ -132,15 +156,15 @@ int main(int argc, char** argv) {
   }
 
   const bool ok = equal && speedup_ok;
-  report.metric("cells", serial.cells.size());
+  report.metric("cells", parallel.cells.size());
   report.metric("workers", parallel.workers);
   report.metric("cores", cores);
-  report.metric("serial_seconds", serial.elapsed_seconds);
-  report.metric("parallel_seconds", parallel.elapsed_seconds);
-  report.metric("campaign_speedup", speedup);
+  bench::write(report, "serial_cells_per_s", arms[0].rate);
+  bench::write(report, "parallel_cells_per_s", arms[1].rate);
+  bench::write(report, "campaign_speedup", speedup);
   report.metric("aggregate_equal", equal ? 1 : 0);
-  report.metric("artifact_hits", parallel_campaign.artifacts().hits());
-  report.metric("artifact_misses", parallel_campaign.artifacts().misses());
+  report.metric("artifact_hits", artifact_hits);
+  report.metric("artifact_misses", artifact_misses);
   report.metric("aggregate_delivered", parallel.aggregate.delivered);
   report.metric("aggregate_generated", parallel.aggregate.generated);
   report.metric("ok", ok ? 1 : 0);

@@ -2,7 +2,15 @@
 // checking, Construct(), the Theorem 2 evaluator, family construction, and
 // raw simulator slot rate. The flight recorder's armed cost is gated by
 // bench_obs_recorder.
+//
+// Two rows time the metro-shaped schedule (n = 10^4, D = 6, αR = n/3 from
+// best_plan): Construct itself, and the first tran() on a fresh copy of
+// its output, which builds the transposes. BENCH_scalability.json carries
+// both as construct_metro_ms and transpose_metro_ms.
 #include <benchmark/benchmark.h>
+
+#include <optional>
+#include <vector>
 
 #include "combinatorics/constructions.hpp"
 #include "combinatorics/params.hpp"
@@ -68,6 +76,43 @@ void BM_ConstructDutyCycled(benchmark::State& state) {
 }
 BENCHMARK(BM_ConstructDutyCycled)->Arg(5)->Arg(9)->Arg(13);
 
+constexpr std::size_t kMetroN = 10000;
+constexpr std::size_t kMetroD = 6;
+
+const core::Schedule& metro_base() {
+  static const core::Schedule base = core::non_sleeping_from_family(
+      comb::build_plan(comb::best_plan(kMetroN, kMetroD), kMetroN));
+  return base;
+}
+
+void BM_ConstructDutyCycledMetro(benchmark::State& state) {
+  const core::Schedule& base = metro_base();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::construct_duty_cycled(base, kMetroD, kMetroD, kMetroN / 3));
+  }
+}
+BENCHMARK(BM_ConstructDutyCycledMetro)->Unit(benchmark::kMillisecond);
+
+void BM_ScheduleTranspose(benchmark::State& state) {
+  const core::Schedule duty =
+      core::construct_duty_cycled(metro_base(), kMetroD, kMetroD, kMetroN / 3);
+  std::optional<core::Schedule> fresh;
+  for (auto _ : state) {
+    // Untimed: copy T/R into a schedule whose transposes are not built.
+    state.PauseTiming();
+    fresh.reset();
+    std::vector<util::DynamicBitset> t, r;
+    for (std::size_t i = 0; i < duty.frame_length(); ++i) {
+      t.push_back(duty.transmitters(i));
+      r.push_back(duty.receivers(i));
+    }
+    fresh.emplace(duty.num_nodes(), std::move(t), std::move(r));
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(&fresh->tran(0));
+  }
+}
+BENCHMARK(BM_ScheduleTranspose)->Unit(benchmark::kMillisecond);
+
 void BM_Theorem2Evaluator(benchmark::State& state) {
   const auto q = static_cast<std::uint32_t>(state.range(0));
   const core::Schedule s = poly_schedule(q, 1, static_cast<std::size_t>(q) * q);
@@ -110,13 +155,39 @@ void BM_SteinerBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_SteinerBuild)->Arg(15)->Arg(63)->Arg(255);
 
+// The console reporter, also copying the metro rows' times per iteration
+// into the bench report.
+class MetroRowReporter : public benchmark::ConsoleReporter {
+ public:
+  explicit MetroRowReporter(obs::BenchReport& report) : report_(report) {}
+
+  void ReportRuns(const std::vector<Run>& runs) override {
+    ConsoleReporter::ReportRuns(runs);
+    for (const Run& run : runs) {
+      if (run.error_occurred || run.run_type != Run::RT_Iteration) continue;
+      const std::string& fn = run.run_name.function_name;
+      if (fn == "BM_ConstructDutyCycledMetro") {
+        report_.metric("construct_metro_ms", run.GetAdjustedRealTime());
+      } else if (fn == "BM_ScheduleTranspose") {
+        report_.metric("transpose_metro_ms", run.GetAdjustedRealTime());
+      }
+    }
+  }
+
+ private:
+  obs::BenchReport& report_;
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
   obs::BenchReport report("scalability");
+  report.param("metro_n", kMetroN);
+  report.param("metro_degree", kMetroD);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
+  MetroRowReporter reporter(report);
+  benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
   report.write();
   return 0;

@@ -21,16 +21,20 @@ Schedule::Schedule(std::size_t num_nodes, std::vector<DynamicBitset> transmit,
       throw std::invalid_argument("Schedule: T[i] and R[i] must be disjoint");
     }
   }
-  tran_.assign(num_nodes_, DynamicBitset(L));
-  recv_.assign(num_nodes_, DynamicBitset(L));
   t_sizes_.resize(L);
   r_sizes_.resize(L);
   for (std::size_t i = 0; i < L; ++i) {
-    transmit_[i].for_each([&](std::size_t x) { tran_[x].set(i); });
-    receive_[i].for_each([&](std::size_t x) { recv_[x].set(i); });
     t_sizes_[i] = transmit_[i].count();
     r_sizes_[i] = receive_[i].count();
   }
+}
+
+void Schedule::build_transposes() const {
+  std::call_once(transposes_->once, [this] {
+    transposes_->tran = util::transpose(transmit_, num_nodes_);
+    transposes_->recv = util::transpose(receive_, num_nodes_);
+    transposes_->built.store(true, std::memory_order_release);
+  });
 }
 
 Schedule Schedule::non_sleeping(std::size_t num_nodes, std::vector<DynamicBitset> transmit) {
@@ -45,7 +49,8 @@ void Schedule::audit_invariants() const {
   const std::size_t L = frame_length();
   TTDC_DCHECK(receive_.size() == L && t_sizes_.size() == L && r_sizes_.size() == L,
               "Schedule: per-slot arrays out of step at L=", L);
-  TTDC_DCHECK(tran_.size() == num_nodes_ && recv_.size() == num_nodes_,
+  const Transposes& tr = transposes();
+  TTDC_DCHECK(tr.tran.size() == num_nodes_ && tr.recv.size() == num_nodes_,
               "Schedule: transposed arrays out of step at n=", num_nodes_);
   for (std::size_t i = 0; i < L; ++i) {
     TTDC_DCHECK(transmit_[i].size() == num_nodes_ && receive_[i].size() == num_nodes_,
@@ -58,9 +63,9 @@ void Schedule::audit_invariants() const {
   }
   for (std::size_t x = 0; x < num_nodes_; ++x) {
     for (std::size_t i = 0; i < L; ++i) {
-      TTDC_DCHECK(tran_[x].test(i) == transmit_[i].test(x),
+      TTDC_DCHECK(tr.tran[x].test(i) == transmit_[i].test(x),
                   "Schedule: tran(", x, ") disagrees with T[", i, "]");
-      TTDC_DCHECK(recv_[x].test(i) == receive_[i].test(x),
+      TTDC_DCHECK(tr.recv[x].test(i) == receive_[i].test(x),
                   "Schedule: recv(", x, ") disagrees with R[", i, "]");
     }
   }
@@ -94,20 +99,20 @@ std::size_t Schedule::max_receivers() const {
 }
 
 DynamicBitset Schedule::free_slots(std::size_t x, std::span<const std::size_t> y) const {
-  DynamicBitset free = tran_[x];
-  for (std::size_t node : y) free.subtract(tran_[node]);
+  DynamicBitset free = tran(x);
+  for (std::size_t node : y) free.subtract(tran(node));
   return free;
 }
 
 DynamicBitset Schedule::sigma(std::size_t a, std::size_t b) const {
-  return tran_[a] & recv_[b];
+  return tran(a) & recv(b);
 }
 
 DynamicBitset Schedule::guaranteed_slots(std::size_t x, std::size_t y,
                                          std::span<const std::size_t> s) const {
-  DynamicBitset g = tran_[x] & recv_[y];
-  g.subtract(tran_[y]);
-  for (std::size_t node : s) g.subtract(tran_[node]);
+  DynamicBitset g = tran(x) & recv(y);
+  g.subtract(tran(y));
+  for (std::size_t node : s) g.subtract(tran(node));
   return g;
 }
 
@@ -124,9 +129,10 @@ double Schedule::duty_cycle() const {
 }
 
 std::vector<double> Schedule::per_node_duty_cycle() const {
+  const Transposes& tr = transposes();
   std::vector<double> out(num_nodes_);
   for (std::size_t x = 0; x < num_nodes_; ++x) {
-    out[x] = static_cast<double>(tran_[x].count() + recv_[x].count()) /
+    out[x] = static_cast<double>(tr.tran[x].count() + tr.recv[x].count()) /
              static_cast<double>(frame_length());
   }
   return out;

@@ -5,12 +5,19 @@
 // receive, and every other node sleeps. A *non-sleeping* schedule has
 // T[i] ∪ R[i] = V in every slot and is determined by T alone.
 //
-// Schedule is immutable after construction and pre-computes the transposed
-// per-node slot sets tran(x) and recv(x) (paper notation), which every
-// checker and analysis below is built from.
+// Schedule is immutable after construction. The transposed per-node slot
+// sets tran(x) and recv(x) (paper notation), which every checker and
+// analysis in core/ is built from, are built on first use, once, by a
+// blocked bit-matrix transpose of the per-slot sets: the simulator and the
+// MACs read only the per-slot sets and never pay for them. The first use
+// may come from several threads at once; copies of a schedule share one
+// transpose.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
+#include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -65,16 +72,17 @@ class Schedule {
   /// tran(x): slots in which node x may transmit (bitset over slots).
   [[nodiscard]] const DynamicBitset& tran(std::size_t node) const {
     TTDC_CHECK_BOUNDS(node, num_nodes_);
-    return tran_[node];
+    return transposes().tran[node];
   }
   /// recv(x): slots in which node x may receive (bitset over slots).
   [[nodiscard]] const DynamicBitset& recv(std::size_t node) const {
     TTDC_CHECK_BOUNDS(node, num_nodes_);
-    return recv_[node];
+    return transposes().recv[node];
   }
 
   /// Re-verifies the construction invariants (universe sizes, per-slot
-  /// T[i] ∩ R[i] = ∅, transposed sets consistent with the per-slot sets).
+  /// T[i] ∩ R[i] = ∅, transposed sets consistent with the per-slot sets,
+  /// building the transposes if nothing has read them yet).
   /// The constructor establishes them and the class is immutable, so this
   /// only fires on memory corruption or a bad const_cast; compiled out
   /// (no-op) unless contract checks are enabled.
@@ -124,11 +132,25 @@ class Schedule {
   [[nodiscard]] std::string to_string() const;
 
  private:
+  struct Transposes {
+    std::once_flag once;
+    std::atomic<bool> built{false};
+    std::vector<DynamicBitset> tran;  // [node] -> slot set
+    std::vector<DynamicBitset> recv;  // [node] -> slot set
+  };
+
+  /// The transposes, built on the first call; later calls cost one
+  /// acquire load.
+  const Transposes& transposes() const {
+    if (!transposes_->built.load(std::memory_order_acquire)) build_transposes();
+    return *transposes_;
+  }
+  void build_transposes() const;
+
   std::size_t num_nodes_;
   std::vector<DynamicBitset> transmit_;  // [slot] -> node set
   std::vector<DynamicBitset> receive_;   // [slot] -> node set
-  std::vector<DynamicBitset> tran_;      // [node] -> slot set
-  std::vector<DynamicBitset> recv_;      // [node] -> slot set
+  std::shared_ptr<Transposes> transposes_ = std::make_shared<Transposes>();
   std::vector<std::size_t> t_sizes_;     // [slot] -> |T[slot]|
   std::vector<std::size_t> r_sizes_;     // [slot] -> |R[slot]|
 };

@@ -1,5 +1,6 @@
 #include "util/bitset.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <sstream>
 
@@ -113,6 +114,30 @@ DynamicBitset& DynamicBitset::subtract(const DynamicBitset& other) {
   return *this;
 }
 
+std::size_t DynamicBitset::add_lowest_outside(const DynamicBitset& exclude, std::size_t k) {
+  TTDC_DCHECK(size_ == exclude.size_, "bitset universe mismatch: ", size_, " vs ",
+              exclude.size_);
+  const std::size_t rem = size_ % kWordBits;
+  std::size_t added = 0;
+  for (std::size_t i = 0; i < words_.size() && added < k; ++i) {
+    Word free = ~(words_[i] | exclude.words_[i]);
+    if (i + 1 == words_.size() && rem != 0) free &= (Word{1} << rem) - 1;
+    const auto c = static_cast<std::size_t>(std::popcount(free));
+    if (added + c > k) {
+      // Keep only the lowest k - added of this word's free positions.
+      Word keep = 0;
+      for (std::size_t t = added; t < k; ++t) {
+        keep |= free & -free;
+        free &= free - 1;
+      }
+      free = keep;
+    }
+    words_[i] |= free;
+    added += std::min(c, k - added);
+  }
+  return added;
+}
+
 DynamicBitset DynamicBitset::complement() const {
   DynamicBitset out(size_);
   for (std::size_t i = 0; i < words_.size(); ++i) out.words_[i] = ~words_[i];
@@ -183,6 +208,69 @@ bool DynamicBitset::any_and_andnot(const DynamicBitset& a, const DynamicBitset& 
     if ((words_[i] & a.words_[i] & ~b.words_[i]) != 0) return true;
   }
   return false;
+}
+
+namespace {
+
+// In-place transpose of a 64×64 bit block, bit j of a[i] <-> bit i of a[j]:
+// swap the off-diagonal 32×32 quadrants, then 16×16 within each, down to
+// single bits (Hacker's Delight §7-3, least-significant-bit-first).
+void transpose64(DynamicBitset::Word* a) {
+  DynamicBitset::Word m = 0x00000000FFFFFFFFull;
+  for (std::size_t j = 32; j != 0; j >>= 1, m ^= m << j) {
+    for (std::size_t k = 0; k < 64; k = ((k | j) + 1) & ~j) {
+      const DynamicBitset::Word t = ((a[k] >> j) ^ a[k | j]) & m;
+      a[k] ^= t << j;
+      a[k | j] ^= t;
+    }
+  }
+}
+
+}  // namespace
+
+std::vector<DynamicBitset> transpose(std::span<const DynamicBitset> rows, std::size_t cols) {
+  using Word = DynamicBitset::Word;
+  constexpr std::size_t kBits = DynamicBitset::kWordBits;
+  // Row blocks per tile: a tile fills one 64-byte line of each output row
+  // it touches, so a pass over the column words visits every output page
+  // once per tile rather than once per row block.
+  constexpr std::size_t kTile = 8;
+  const std::size_t m = rows.size();
+  for (std::size_t r = 0; r < m; ++r) {
+    TTDC_DCHECK(rows[r].size_ == cols, "transpose: row ", r, " has ", rows[r].size_,
+                " columns, expected ", cols);
+  }
+  std::vector<DynamicBitset> out(cols, DynamicBitset(m));
+  const std::size_t col_words = (cols + kBits - 1) / kBits;
+  const std::size_t row_blocks = (m + kBits - 1) / kBits;
+  Word tile[kTile][kBits];
+  for (std::size_t rb0 = 0; rb0 < row_blocks; rb0 += kTile) {
+    const std::size_t blocks = std::min(kTile, row_blocks - rb0);
+    for (std::size_t cw = 0; cw < col_words; ++cw) {
+      Word any = 0;
+      for (std::size_t b = 0; b < blocks; ++b) {
+        // Rows past `m` are zero, so the bits past `m` in each output row's
+        // last word stay zero (the tail invariant).
+        const std::size_t row0 = (rb0 + b) * kBits;
+        const std::size_t nrows = std::min(kBits, m - row0);
+        Word block_any = 0;
+        for (std::size_t r = 0; r < nrows; ++r) {
+          tile[b][r] = rows[row0 + r].words_[cw];
+          block_any |= tile[b][r];
+        }
+        std::fill(tile[b] + nrows, tile[b] + kBits, Word{0});
+        if (block_any != 0) transpose64(tile[b]);
+        any |= block_any;
+      }
+      if (any == 0) continue;  // the output words are zero already
+      const std::size_t ncols = std::min(kBits, cols - cw * kBits);
+      for (std::size_t c = 0; c < ncols; ++c) {
+        Word* dst = out[cw * kBits + c].words_.data() + rb0;
+        for (std::size_t b = 0; b < blocks; ++b) dst[b] = tile[b][c];
+      }
+    }
+  }
+  return out;
 }
 
 void DynamicBitset::trim_tail() {

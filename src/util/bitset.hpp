@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstddef>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -97,6 +98,10 @@ class DynamicBitset {
   /// *this = *this AND NOT other.
   DynamicBitset& subtract(const DynamicBitset& other);
 
+  /// Adds the `k` lowest positions that are in neither *this nor `exclude`
+  /// (fewer if fewer exist), a word at a time; returns how many it added.
+  std::size_t add_lowest_outside(const DynamicBitset& exclude, std::size_t k);
+
   [[nodiscard]] friend DynamicBitset operator&(DynamicBitset a, const DynamicBitset& b) {
     a &= b;
     return a;
@@ -156,12 +161,21 @@ class DynamicBitset {
   /// Fused kernel: does (this AND a AND NOT b) have any member?
   [[nodiscard]] bool any_and_andnot(const DynamicBitset& a, const DynamicBitset& b) const;
 
+  friend std::vector<DynamicBitset> transpose(std::span<const DynamicBitset> rows,
+                                              std::size_t cols);
+
  private:
   void trim_tail();
 
   std::size_t size_ = 0;
   std::vector<Word> words_;
 };
+
+/// Transpose of the bit matrix whose rows are `rows` (each over
+/// [0, cols)): `cols` bitsets over [0, rows.size()) with
+/// out[c].test(r) == rows[r].test(c). Works on 64×64 blocks of words.
+[[nodiscard]] std::vector<DynamicBitset> transpose(std::span<const DynamicBitset> rows,
+                                                   std::size_t cols);
 
 /// FNV-1a hash over the word storage; lets DynamicBitset key hash maps.
 struct BitsetHash {

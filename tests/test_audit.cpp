@@ -46,6 +46,15 @@ TEST(ScheduleAudit, FreshSchedulePasses) {
   EXPECT_NO_THROW(s.audit_invariants());
 }
 
+TEST(ScheduleAudit, BuildsAndChecksTransposesOnFirstUse) {
+  // Nothing has read tran()/recv() yet: the audit builds them and compares
+  // them with the per-slot sets (n = 7 and L = 7 leave partial words).
+  const Schedule s = tdma(7);
+  ScopedThrowOnViolation guard;
+  EXPECT_NO_THROW(s.audit_invariants());
+  EXPECT_EQ(s.tran(3), DynamicBitset(7, {3}));
+}
+
 TEST(PacketQueueAudit, RingStaysConsistentThroughWrap) {
   PacketQueue q(4);
   ScopedThrowOnViolation guard;

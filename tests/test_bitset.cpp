@@ -152,6 +152,79 @@ TEST(Bitset, EqualityAndHashConsistency) {
   EXPECT_EQ(h(a), h(b));
 }
 
+// Bits at positions >= size() in the last word must be zero.
+bool tail_is_clear(const DynamicBitset& b) {
+  const std::size_t rem = b.size() % DynamicBitset::kWordBits;
+  return rem == 0 || b.words().empty() || (b.words().back() >> rem) == 0;
+}
+
+TEST(Bitset, TransposeMatchesPerBitTranspose) {
+  const std::size_t dims[] = {1, 63, 64, 65, 127, 129};
+  Xoshiro256 rng(2024);
+  for (const std::size_t m : dims) {
+    for (const std::size_t cols : dims) {
+      // Rows of mixed density; every third row is empty.
+      std::vector<DynamicBitset> rows;
+      for (std::size_t r = 0; r < m; ++r) {
+        DynamicBitset row(cols);
+        const double p = r % 3 == 0 ? 0.0 : (r % 3 == 1 ? 0.05 : 0.6);
+        for (std::size_t c = 0; c < cols; ++c) {
+          if (rng.bernoulli(p)) row.set(c);
+        }
+        rows.push_back(std::move(row));
+      }
+      const std::vector<DynamicBitset> out = transpose(rows, cols);
+      ASSERT_EQ(out.size(), cols);
+      for (std::size_t c = 0; c < cols; ++c) {
+        DynamicBitset expected(m);
+        for (std::size_t r = 0; r < m; ++r) {
+          if (rows[r].test(c)) expected.set(r);
+        }
+        ASSERT_EQ(out[c], expected) << m << " rows x " << cols << " cols, column " << c;
+        ASSERT_TRUE(tail_is_clear(out[c])) << m << " rows x " << cols << " cols";
+      }
+    }
+  }
+}
+
+TEST(Bitset, TransposeOfAllOnesAndOfNoRows) {
+  std::vector<DynamicBitset> rows(65, DynamicBitset(129));
+  for (auto& row : rows) row.set_all();
+  for (const auto& col : transpose(rows, 129)) {
+    EXPECT_EQ(col.count(), 65u);
+    EXPECT_TRUE(tail_is_clear(col));
+  }
+  const auto empty = transpose({}, 3);
+  ASSERT_EQ(empty.size(), 3u);
+  EXPECT_EQ(empty[0].size(), 0u);
+}
+
+TEST(Bitset, AddLowestOutsideMatchesPerBitFill) {
+  Xoshiro256 rng(7);
+  for (const std::size_t n : {1u, 63u, 64u, 65u, 129u, 300u}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      DynamicBitset a(n), exclude(n);
+      for (std::size_t v = 0; v < n; ++v) {
+        if (rng.bernoulli(0.3)) a.set(v);
+        if (rng.bernoulli(0.3)) exclude.set(v);
+      }
+      const std::size_t k = rng.below(n + 2);
+      DynamicBitset expected = a;
+      std::size_t want = 0;
+      for (std::size_t v = 0; v < n && want < k; ++v) {
+        if (!a.test(v) && !exclude.test(v)) {
+          expected.set(v);
+          ++want;
+        }
+      }
+      DynamicBitset got = a;
+      EXPECT_EQ(got.add_lowest_outside(exclude, k), want) << "n=" << n << " k=" << k;
+      EXPECT_EQ(got, expected) << "n=" << n << " k=" << k;
+      EXPECT_TRUE(tail_is_clear(got)) << "n=" << n;
+    }
+  }
+}
+
 TEST(Bitset, SubtractInPlace) {
   DynamicBitset a(10, {1, 2, 3});
   DynamicBitset b(10, {2, 5});

@@ -5,12 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <sstream>
+#include <tuple>
+
 #include "combinatorics/constructions.hpp"
 #include "combinatorics/params.hpp"
 #include "core/builders.hpp"
 #include "core/energy.hpp"
 #include "core/requirements.hpp"
 #include "core/throughput.hpp"
+#include "reference_construct.hpp"
 
 namespace ttdc::core {
 namespace {
@@ -97,6 +102,87 @@ INSTANTIATE_TEST_SUITE_P(
                       Case{25, 4, 3, 8}, Case{25, 2, 5, 5}, Case{10, 5, 1, 4},
                       Case{30, 3, 6, 10}, Case{18, 4, 2, 6}, Case{24, 2, 8, 8},
                       Case{15, 2, 1, 13}, Case{28, 3, 4, 12}, Case{21, 5, 2, 8}));
+
+// Differential oracle: construct_duty_cycled against the slot-pair-at-a-time
+// reference in tests/reference, slot for slot, under both division
+// policies and both transmitter caps.
+struct OracleCase {
+  bool polynomial;  // polynomial_family(5, 2, n) instead of best_plan(n, d)
+  std::size_t n;
+  std::size_t d;
+  std::size_t alpha_t;
+  std::size_t alpha_r;
+  bool pads;  // some base slot has |R[i]| < αR, so line 8 pads
+};
+
+std::ostream& operator<<(std::ostream& os, const OracleCase& c) {
+  return os << (c.polynomial ? "poly(5,2) " : "best_plan ") << "n=" << c.n << " D=" << c.d
+            << " aT=" << c.alpha_t << " aR=" << c.alpha_r;
+}
+
+class ConstructOracleTest
+    : public ::testing::TestWithParam<std::tuple<OracleCase, DivisionPolicy, bool>> {};
+
+TEST_P(ConstructOracleTest, MatchesReferenceSlotForSlot) {
+  const auto [c, policy, verbatim] = GetParam();
+  const Schedule base =
+      c.polynomial ? non_sleeping_from_family(comb::polynomial_family(5, 2, c.n))
+                   : base_schedule_for({c.n, c.d, c.alpha_t, c.alpha_r});
+  const auto sizes = base.receive_sizes();
+  const bool pads = std::any_of(sizes.begin(), sizes.end(),
+                                [&](std::size_t r) { return r < c.alpha_r; });
+  ASSERT_EQ(pads, c.pads) << c;
+  ConstructOptions opts;
+  opts.division = policy;
+  opts.use_alpha_t_verbatim = verbatim;
+  const Schedule out = construct_duty_cycled(base, c.d, c.alpha_t, c.alpha_r, opts);
+  const Schedule ref = reference_construct_duty_cycled(base, c.d, c.alpha_t, c.alpha_r, opts);
+  ASSERT_EQ(out.frame_length(), ref.frame_length()) << c;
+  for (std::size_t i = 0; i < ref.frame_length(); ++i) {
+    ASSERT_EQ(out.transmitters(i), ref.transmitters(i)) << c << " slot " << i;
+    ASSERT_EQ(out.receivers(i), ref.receivers(i)) << c << " slot " << i;
+  }
+  if (pads) {
+    for (std::size_t i = 0; i < out.frame_length(); ++i) {
+      ASSERT_EQ(out.receive_sizes()[i], c.alpha_r) << c << " slot " << i;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Zoo, ConstructOracleTest,
+    ::testing::Combine(
+        ::testing::Values(
+            // The Theorem 6-9 grid above.
+            OracleCase{false, 9, 2, 2, 3, false}, OracleCase{false, 9, 2, 1, 1, false},
+            OracleCase{false, 12, 2, 3, 4, false}, OracleCase{false, 16, 3, 2, 5, false},
+            OracleCase{false, 16, 3, 4, 4, false}, OracleCase{false, 20, 2, 2, 6, false},
+            OracleCase{false, 25, 4, 3, 8, false}, OracleCase{false, 25, 2, 5, 5, false},
+            OracleCase{false, 10, 5, 1, 4, false}, OracleCase{false, 30, 3, 6, 10, false},
+            OracleCase{false, 18, 4, 2, 6, false}, OracleCase{false, 24, 2, 8, 8, false},
+            OracleCase{false, 15, 2, 1, 13, true}, OracleCase{false, 28, 3, 4, 12, false},
+            OracleCase{false, 21, 5, 2, 8, false},
+            // The balanced and αT' families of the tests below.
+            OracleCase{true, 25, 2, 5, 7, false}, OracleCase{true, 125, 2, 5, 20, false},
+            OracleCase{true, 25, 2, 5, 20, false},  // |R[i]| = αR exactly
+            // Node and slot counts on both sides of a word boundary.
+            OracleCase{false, 63, 3, 3, 21, false}, OracleCase{false, 64, 3, 3, 21, false},
+            OracleCase{false, 65, 3, 3, 21, false}, OracleCase{false, 127, 3, 3, 42, false},
+            OracleCase{false, 128, 3, 3, 42, false}, OracleCase{false, 129, 3, 3, 42, false},
+            OracleCase{false, 65, 3, 3, 60, true},
+            // Metro-shaped: D = 6, αR = n/3.
+            OracleCase{false, 2000, 6, 6, 666, false}),
+        ::testing::Values(DivisionPolicy::kContiguous, DivisionPolicy::kBalanced),
+        ::testing::Bool()),
+    [](const ::testing::TestParamInfo<ConstructOracleTest::ParamType>& info) {
+      const OracleCase& c = std::get<0>(info.param);
+      std::ostringstream os;
+      os << (c.polynomial ? "poly" : "best") << "_n" << c.n << "_D" << c.d << "_aT" << c.alpha_t
+         << "_aR" << c.alpha_r
+         << (std::get<1>(info.param) == DivisionPolicy::kContiguous ? "_contiguous" : "_balanced")
+         << (std::get<2>(info.param) ? "_verbatim" : "_optimal");
+      return os.str();
+    });
 
 TEST(Construct, RejectsInvalidInputs) {
   const Schedule base = non_sleeping_from_family(comb::tdma_family(6));

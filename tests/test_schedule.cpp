@@ -3,8 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
+#include <thread>
+#include <utility>
+#include <vector>
+
 #include "combinatorics/constructions.hpp"
+#include "combinatorics/params.hpp"
 #include "core/builders.hpp"
+#include "core/construct.hpp"
 #include "util/rng.hpp"
 
 namespace ttdc::core {
@@ -157,6 +165,104 @@ TEST(Schedule, FromFamilyDropsEmptySlots) {
   EXPECT_EQ(dropped.frame_length(), 2u);
   const Schedule kept = non_sleeping_from_family(family, false);
   EXPECT_EQ(kept.frame_length(), 4u);
+}
+
+// tran()/recv() are built on first use. These tests pin what that must not
+// change: the values, one build shared by concurrent first readers, and
+// copy/move semantics at either side of the build. A frame length and node
+// count off multiples of 64 exercise the transpose's partial words.
+Schedule lazy_schedule() {
+  const std::size_t n = 65;
+  const Schedule base = non_sleeping_from_family(comb::build_plan(comb::best_plan(n, 3), n));
+  return construct_duty_cycled(base, 3, 3, 21);
+}
+
+// Checks every tran(x)/recv(x) against the per-slot sets, bit by bit.
+void expect_transposes_match(const Schedule& s) {
+  for (std::size_t x = 0; x < s.num_nodes(); ++x) {
+    DynamicBitset tran(s.frame_length()), recv(s.frame_length());
+    for (std::size_t i = 0; i < s.frame_length(); ++i) {
+      if (s.transmitters(i).test(x)) tran.set(i);
+      if (s.receivers(i).test(x)) recv.set(i);
+    }
+    ASSERT_EQ(s.tran(x), tran) << "node " << x;
+    ASSERT_EQ(s.recv(x), recv) << "node " << x;
+  }
+}
+
+TEST(ScheduleLazyTransposes, FrameAndNodesAreOffWordBoundaries) {
+  const Schedule s = lazy_schedule();
+  ASSERT_NE(s.frame_length() % 64, 0u);
+  ASSERT_NE(s.num_nodes() % 64, 0u);
+  expect_transposes_match(s);
+}
+
+TEST(ScheduleLazyTransposes, ConcurrentFirstAccessBuildsOnce) {
+  // n = 1000 (L = 7,140): the build takes long enough that the readers'
+  // first calls overlap it.
+  const std::size_t n = 1000;
+  const Schedule base = non_sleeping_from_family(comb::build_plan(comb::best_plan(n, 3), n));
+  const auto s = std::make_shared<const Schedule>(construct_duty_cycled(base, 3, 3, n / 3));
+  constexpr int kThreads = 8;
+  std::atomic<int> waiting{kThreads};
+  std::vector<const DynamicBitset*> first_tran(kThreads), first_recv(kThreads);
+  std::vector<std::size_t> active(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      waiting.fetch_sub(1);
+      while (waiting.load() > 0) std::this_thread::yield();
+      // Half the threads start with recv(), half with tran().
+      if (t % 2 == 0) {
+        first_recv[t] = &s->recv(0);
+        first_tran[t] = &s->tran(0);
+      } else {
+        first_tran[t] = &s->tran(0);
+        first_recv[t] = &s->recv(0);
+      }
+      for (std::size_t x = 0; x < s->num_nodes(); ++x) {
+        active[t] += s->tran(x).count() + s->recv(x).count();
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  std::size_t expected = 0;
+  for (std::size_t i = 0; i < s->frame_length(); ++i) {
+    expected += s->transmit_sizes()[i] + s->receive_sizes()[i];
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(first_tran[t], first_tran[0]) << "thread " << t << " saw a second build";
+    EXPECT_EQ(first_recv[t], first_recv[0]) << "thread " << t << " saw a second build";
+    EXPECT_EQ(active[t], expected) << "thread " << t;
+  }
+}
+
+TEST(ScheduleLazyTransposes, CopyBeforeBuild) {
+  const Schedule original = lazy_schedule();
+  const Schedule copy = original;  // neither has read its transposes
+  expect_transposes_match(copy);
+  expect_transposes_match(original);
+}
+
+TEST(ScheduleLazyTransposes, CopyAfterBuild) {
+  const Schedule original = lazy_schedule();
+  expect_transposes_match(original);
+  Schedule copy = tiny_schedule();
+  copy = original;
+  expect_transposes_match(copy);
+  EXPECT_EQ(copy.frame_length(), original.frame_length());
+}
+
+TEST(ScheduleLazyTransposes, MoveBeforeAndAfterBuild) {
+  Schedule unbuilt = lazy_schedule();
+  const Schedule moved_unbuilt = std::move(unbuilt);
+  expect_transposes_match(moved_unbuilt);
+
+  Schedule built = lazy_schedule();
+  expect_transposes_match(built);
+  Schedule target = tiny_schedule();
+  target = std::move(built);
+  expect_transposes_match(target);
 }
 
 }  // namespace
